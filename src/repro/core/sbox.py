@@ -381,7 +381,9 @@ class SBox:
         With ``workers`` set (any value >= 1) the query runs on the
         partition-parallel chunked pipeline: the plan streams chunk by
         chunk, every partition's rows fold straight into mergeable
-        moment state, and the estimate comes from the merged state —
+        moment state, one bundle per chunk, and the estimate comes from
+        those bundles merged by a single reduce in chunk order (the same
+        bits as folding them one by one, see :meth:`_run_chunked`) —
         the full result sample is only materialized (column-pruned) to
         populate ``result.sample``, and not at all under
         ``keep_sample=False``.  Results are bit-for-bit identical for
@@ -598,7 +600,16 @@ class SBox:
         keep_sample: bool,
         subsample: SubsampleSpec | None,
     ) -> "QueryResult | GroupedQueryResult":
-        """Partition-parallel estimation: fold chunks, merge sketches."""
+        """Partition-parallel estimation: fold chunks, merge sketches.
+
+        Every chunk folds into its own moment bundle; the bundles are
+        kept in chunk order and merged by one ``merge(*parts)`` call
+        after the last chunk lands — one concatenate-and-reduce, one
+        sort, not a re-sort of the growing state per chunk.  The sorts
+        are stable and the per-key sums add in sorted order, so each
+        key's chunk partials still add as ``((a1 + a2) + a3) + …`` in
+        chunk order: the bits equal a left fold's.
+        """
         from repro.relational.partition import DEFAULT_CHUNK_ROWS
         from repro.relational.pipeline import ChunkedExecutor, concat_tables
 
@@ -645,7 +656,7 @@ class SBox:
         per_chunk = _ChunkFold(
             recipes, pruned.lattice, grouped, keys, keep_sample
         )
-        merged = None
+        parts = []
         kept: list[Table] = []
         merge_seconds = 0.0
         t0 = perf_counter()
@@ -653,15 +664,16 @@ class SBox:
             for contrib, chunk in executor.map_chunks(
                 plan.child, per_chunk, columns=needed
             ):
-                if merged is None:
-                    merged = contrib
-                else:
-                    m0 = perf_counter()
-                    merged = merged.merge(contrib)
-                    merge_seconds += perf_counter() - m0
+                parts.append(contrib)
                 if chunk is not None:
                     kept.append(chunk)
-            assert merged is not None  # the pipeline always emits >= 1 chunk
+            # The pipeline always emits >= 1 chunk; a lone chunk's
+            # bundle is already the answer's state.
+            merged, *rest = parts
+            if rest:
+                m0 = perf_counter()
+                merged = merged.merge(*rest)
+                merge_seconds = perf_counter() - m0
             sp.attrs["rows"] = merged.n_rows
             sp.attrs["merge_ns"] = int(merge_seconds * 1e9)
         observe_phase_seconds(

@@ -28,16 +28,56 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.errors import ReproError
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.progressive import ProgressiveFrame, run_progressive
 from repro.serve.protocol import Request, error_payload, frame_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service import QueryService
+    from repro.service import QueryService, ServiceResponse
 
 #: Deadline applied when the request names none (progressive only).
 DEFAULT_DEADLINE_MS = 30_000.0
+
+
+def provenance_tag(response: "ServiceResponse") -> str:
+    """How a served answer was produced: ``result-cache``, ``fresh`` or
+    the catalog reuse kind.  A version difference's ``reuse`` maps each
+    side to its own info, so it reads ``hi=<kind>,lo=<kind>``."""
+    if response.cached:
+        return "result-cache"
+    reuse = response.reuse
+    if isinstance(reuse, dict):
+        return ",".join(
+            f"{side}={info.kind if info else 'fresh'}"
+            for side, info in reuse.items()
+        )
+    return reuse.kind if reuse else "fresh"
+
+
+def wire_answer(response: "ServiceResponse") -> dict:
+    """``values`` (and, for grouped answers, the group ``keys``) as JSON.
+
+    Grouped answers carry numpy arrays, which ``json`` rejects: every
+    value becomes a float or a list of floats, every key column a list
+    parallel to the value lists.
+    """
+    out: dict = {
+        "values": None
+        if response.values is None
+        else {
+            alias: np.asarray(value, dtype=np.float64).tolist()
+            for alias, value in response.values.items()
+        }
+    }
+    if response.keys is not None:
+        out["keys"] = {
+            name: np.asarray(col).tolist()
+            for name, col in response.keys.items()
+        }
+    return out
 
 
 class RequestHandler:
@@ -114,8 +154,10 @@ class RequestHandler:
     ) -> dict:
         """Run one admitted query request to its terminal payload.
 
-        Never raises: engine errors become ``type: "error"`` payloads so
-        one bad statement cannot take down its worker or connection.
+        Engine errors become ``type: "error"`` payloads so one bad
+        statement cannot take down its worker or connection; anything
+        else (a bug) propagates, and the transport answers it as an
+        ``internal`` error.
         ``emit`` receives progressive frame payloads as rungs land;
         ``cancelled`` is the cooperative abort poll (client went away).
         """
@@ -152,19 +194,14 @@ class RequestHandler:
             self.service.session(session) if session else self.service
         )
         response = target.query(decision.statement, seed=request.seed)
-        tag = (
-            "result-cache"
-            if response.cached
-            else (response.reuse.kind if response.reuse else "fresh")
-        )
         payload = {
             "id": request.id,
             "type": "result",
             "status": "ok",
             "text": response.text,
-            "values": response.values,
+            **wire_answer(response),
             "seed": response.seed,
-            "tag": tag,
+            "tag": provenance_tag(response),
             "elapsed_ms": response.elapsed * 1e3,
         }
         if decision.action == "degrade":
@@ -262,13 +299,8 @@ class RequestHandler:
             response = self.service.query(statement)
         except ReproError as exc:
             return [f"-- [error] {statement}", f"error: {exc}"], 0
-        tag = (
-            "result-cache"
-            if response.cached
-            else (response.reuse.kind if response.reuse else "fresh")
-        )
         return [
-            f"-- [{tag}, {response.elapsed * 1e3:.1f} ms] "
+            f"-- [{provenance_tag(response)}, {response.elapsed * 1e3:.1f} ms] "
             f"{response.statement}",
             response.text,
         ], 1

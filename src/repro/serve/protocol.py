@@ -8,7 +8,9 @@ requests can interleave on one connection:
   per query, each carrying ``(estimate, ci_lo, ci_hi, rate)`` with the
   interval guaranteed no wider than the previous frame's;
 * ``{"type": "result", ...}`` — the terminal answer (exactly one per
-  accepted request);
+  accepted request); its ``values`` map each alias to a float, or, for
+  a grouped answer, to a list of floats parallel to the ``keys``
+  columns;
 * ``{"type": "error", "code": ..., ...}`` — the terminal failure.
 
 Decoding is strict: anything that is not a JSON object with a known

@@ -154,7 +154,7 @@ class ReproServer:
 
     def _write_json(self, writer: asyncio.StreamWriter, payload: dict) -> None:
         if not writer.is_closing():
-            writer.write(encode(payload))
+            writer.write(_encoded(payload)[1])
 
     def _track(self, task: asyncio.Task) -> None:
         self._request_tasks.add(task)
@@ -192,6 +192,8 @@ class ReproServer:
                     queued_at=queued_at,
                 ),
             )
+        except Exception as exc:
+            payload = _internal_error(request.id, exc)
         finally:
             self.handler.release(decision)
             inflight.pop(request.id, None)
@@ -334,15 +336,15 @@ class ReproServer:
             request = decode_request(json.dumps(raw))
         except (ProtocolError, json.JSONDecodeError) as exc:
             payload = error_payload(-1, str(exc), "bad-request")
-            return "400 Bad Request", _json_bytes(payload), "application/json"
+            return "400 Bad Request", encode(payload), "application/json"
         answered = self.handler.immediate(request)
         if answered is not None:
-            return "200 OK", _json_bytes(answered), "application/json"
+            return "200 OK", encode(answered), "application/json"
         decision, rejected = self.handler.admit(request)
         if rejected is not None:
             return (
                 "503 Service Unavailable",
-                _json_bytes(rejected),
+                encode(rejected),
                 "application/json",
             )
         loop = asyncio.get_running_loop()
@@ -360,16 +362,42 @@ class ReproServer:
         )
         try:
             payload = await task
+        except Exception as exc:
+            payload = _internal_error(request.id, exc)
         finally:
             self.handler.release(decision)
         if frames:
             payload = dict(payload, frame_stream=frames)
-        status = "200 OK" if payload.get("type") == "result" else "400 Bad Request"
-        return status, _json_bytes(payload), "application/json"
+        payload, body = _encoded(payload)
+        if payload.get("type") == "result":
+            status = "200 OK"
+        elif payload.get("code") == "internal":
+            status = "500 Internal Server Error"
+        else:
+            status = "400 Bad Request"
+        return status, body, "application/json"
 
 
-def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+def _internal_error(rid: int, exc: Exception) -> dict:
+    """The terminal payload of a request whose execution itself failed
+    (not an engine error, which the handler already answers)."""
+    return error_payload(
+        rid, f"internal error: {type(exc).__name__}: {exc}", code="internal"
+    )
+
+
+def _encoded(payload: dict) -> tuple[dict, bytes]:
+    """``payload`` and its wire line.
+
+    A payload ``json`` cannot encode is swapped for a typed
+    ``internal`` error of the same id, so the request still gets a
+    terminal reply and the connection stays usable.
+    """
+    try:
+        return payload, encode(payload)
+    except (TypeError, ValueError) as exc:
+        error = _internal_error(payload.get("id", -1), exc)
+        return error, encode(error)
 
 
 async def start_server(

@@ -67,9 +67,15 @@ class ServiceResponse:
     seed: int
     elapsed: float
     cached: bool = False
-    reuse: "ReuseInfo | None" = field(default=None, repr=False)
+    #: A version difference's maps ``"hi"``/``"lo"`` to each side's info.
+    reuse: "ReuseInfo | dict[str, ReuseInfo | None] | None" = field(
+        default=None, repr=False
+    )
     session: str | None = None
     trace: "Trace | None" = field(default=None, repr=False)
+    #: Grouped answers only: the GROUP BY key columns, parallel to the
+    #: per-alias value arrays.
+    keys: dict | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -228,6 +234,9 @@ class QueryService:
             cached=False,
             reuse=getattr(result, "reuse", None),
             trace=getattr(result, "trace", None),
+            keys=dict(result.keys)
+            if isinstance(getattr(result, "keys", None), dict)
+            else None,
         )
 
     def query_many(

@@ -14,11 +14,15 @@ not the number of rows ingested — plus the sample row count.  It
 supports three operations, all exact:
 
 * ``update(f, lineage)`` — absorb a batch in one vectorized pass;
-* ``merge(other)``       — combine two sketches (shards, windows,
-  machines) with no approximation;
+* ``merge(*others)``    — combine any number of sketches (shards,
+  windows, machines, chunks) with no approximation;
 * ``moments()``          — emit the full ``(Y_S)_{S⊆L}`` vector.
 
-The heavy lifting lives in :func:`repro.core.estimator.group_reduce`
+Merging k states concatenates them in argument order and reduces once
+(:func:`_reduce_tables`): one sort over all entries rather than the
+k - 1 sorts of a pairwise fold, with the same bits as that fold.
+
+The heavy lifting lives in :func:`repro.core.estimator.group_reduce_multi`
 and :func:`repro.core.estimator.y_terms_from_groups`, the same
 accumulator core the batch ``y_terms`` is built on — one source of
 truth for the moment arithmetic.
@@ -38,7 +42,6 @@ import numpy as np
 from repro.core.estimator import (
     group_firsts,
     group_ids,
-    group_reduce,
     group_reduce_multi,
     grouped_y_terms_from_groups,
     grouped_y_terms_multi,
@@ -53,6 +56,50 @@ __all__ = [
     "MomentSketch",
     "MomentSketchBundle",
 ]
+
+#: A compacted group table: ``(key columns, weight vectors)``, one row
+#: per distinct key, every weight vector parallel to the key columns.
+_GroupTable = tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
+
+
+def _reduce_tables(tables: Sequence[_GroupTable]) -> tuple[list, list]:
+    """Concatenate compacted group tables in order and reduce them once.
+
+    Tables with no entries are skipped, so an untouched accumulator's
+    int64 placeholder columns never promote a real key dtype, and a
+    lone live table is returned as is.  Both the lexsort and the
+    stable argsort keep equal keys in input order, and ``group_sums``
+    adds in sorted order, so each key's partial sums are added in
+    table order, ``((a1 + a2) + a3) + …`` — exactly the bits a left
+    fold of pairwise reduces gives, at the cost of one sort.
+    """
+    live = [t for t in tables if t[1][0].size] or list(tables[:1])
+    if len(live) == 1:
+        keys, weights = live[0]
+        return list(keys), list(weights)
+    return group_reduce_multi(
+        [np.concatenate(cols) for cols in zip(*(k for k, _ in live))],
+        [np.concatenate(ws) for ws in zip(*(w for _, w in live))],
+    )
+
+
+def _check_mergeable(
+    mine, others: Sequence, shape: Sequence[tuple[str, str]] = ()
+) -> None:
+    """Refuse, before any state changes, to merge a state whose lattice
+    or shape (``(attribute, noun)`` pairs) differs from ``mine``'s."""
+    for other in others:
+        if mine.lattice != other.lattice:
+            raise EstimationError(
+                f"cannot merge sketches over different lattices: "
+                f"{mine.lattice.dims} vs {other.lattice.dims}"
+            )
+        for attr, noun in shape:
+            if getattr(mine, attr) != getattr(other, attr):
+                raise EstimationError(
+                    f"cannot merge sketches with {getattr(mine, attr)} vs "
+                    f"{getattr(other, attr)} {noun}"
+                )
 
 
 class MomentSketch:
@@ -121,53 +168,41 @@ class MomentSketch:
             cols.append(col)
         return f, cols
 
-    def _absorb(
-        self, keys: Sequence[np.ndarray], sums: np.ndarray, n_rows: int
-    ) -> None:
-        """Fold an already-compacted group table into the state."""
-        if n_rows == 0 and sums.size == 0:
-            return
-        if self._sums.size == 0:
-            self._keys = [np.asarray(k, dtype=np.int64) for k in keys]
-            self._sums = np.asarray(sums, dtype=np.float64)
-        else:
-            merged_cols = [
-                np.concatenate([mine, np.asarray(theirs, dtype=np.int64)])
-                for mine, theirs in zip(self._keys, keys)
-            ]
-            merged_sums = np.concatenate([self._sums, sums])
-            self._keys, self._sums = group_reduce(merged_cols, merged_sums)
+    def _table(self) -> _GroupTable:
+        return self._keys, [self._sums]
+
+    def _absorb(self, tables: Sequence[_GroupTable], n_rows: int) -> None:
+        """Fold already-compacted group tables into the state."""
+        keys, (self._sums,) = _reduce_tables([self._table(), *tables])
+        self._keys = [np.asarray(k, dtype=np.int64) for k in keys]
         self._n_rows += int(n_rows)
 
     def update(self, f: np.ndarray, lineage: Mapping[str, np.ndarray]) -> "MomentSketch":
         """Absorb one batch of rows; returns ``self`` for chaining.
 
-        One :func:`group_reduce` pass compacts the batch, a second folds
-        it into the state — ``O((G + B) log (G + B))`` for state size
-        ``G`` and batch size ``B``, independent of the rows already
-        ingested when lineage keys repeat.
+        One reduce compacts the batch, a second folds it into the
+        state — ``O((G + B) log (G + B))`` for state size ``G`` and
+        batch size ``B``, independent of the rows already ingested when
+        lineage keys repeat.
         """
         f, cols = self._coerce_batch(f, lineage)
         if f.shape[0] == 0:
             return self
-        keys, sums = group_reduce(cols, f)
-        self._absorb(keys, sums, f.shape[0])
+        self._absorb([group_reduce_multi(cols, [f])], f.shape[0])
         return self
 
-    def merge(self, other: "MomentSketch") -> "MomentSketch":
-        """Fold ``other`` into ``self`` (exact); returns ``self``.
+    def merge(self, *others: "MomentSketch") -> "MomentSketch":
+        """Fold ``others`` into ``self`` in order (exact); returns ``self``.
 
         Merge is commutative and associative up to floating-point
         summation order, so shard sketches can be combined in any
         topology — pairwise trees, sequential folds, or one big
         concatenate — with the same group table as a single-pass build.
         """
-        if self.lattice != other.lattice:
-            raise EstimationError(
-                f"cannot merge sketches over different lattices: "
-                f"{self.lattice.dims} vs {other.lattice.dims}"
-            )
-        self._absorb(other._keys, other._sums, other._n_rows)
+        _check_mergeable(self, others)
+        self._absorb(
+            [o._table() for o in others], sum(o._n_rows for o in others)
+        )
         return self
 
     def copy(self) -> "MomentSketch":
@@ -286,35 +321,15 @@ class GroupedMomentSketch:
             cols.append(col)
         return f, cols
 
-    def _absorb(
-        self,
-        cols: Sequence[np.ndarray],
-        sums: np.ndarray,
-        counts: np.ndarray,
-        n_rows: int,
-    ) -> None:
-        """Fold an already-compacted (group, lineage) table in."""
-        if n_rows == 0 and sums.size == 0:
-            return
-        state = self._group_cols + self._keys
-        if self._sums.size == 0:
-            merged = [np.asarray(c, dtype=np.int64) for c in cols]
-            keys, (self._sums, self._counts) = merged, (
-                np.asarray(sums, dtype=np.float64),
-                np.asarray(counts, dtype=np.float64),
-            )
-        else:
-            merged = [
-                np.concatenate([mine, np.asarray(theirs, dtype=np.int64)])
-                for mine, theirs in zip(state, cols)
-            ]
-            keys, (self._sums, self._counts) = group_reduce_multi(
-                merged,
-                [
-                    np.concatenate([self._sums, sums]),
-                    np.concatenate([self._counts, counts]),
-                ],
-            )
+    def _table(self) -> _GroupTable:
+        return self._group_cols + self._keys, [self._sums, self._counts]
+
+    def _absorb(self, tables: Sequence[_GroupTable], n_rows: int) -> None:
+        """Fold already-compacted (group, lineage) tables in."""
+        keys, (self._sums, self._counts) = _reduce_tables(
+            [self._table(), *tables]
+        )
+        keys = [np.asarray(k, dtype=np.int64) for k in keys]
         self._group_cols = keys[: self.n_group_cols]
         self._keys = keys[self.n_group_cols :]
         self._n_rows += int(n_rows)
@@ -329,29 +344,17 @@ class GroupedMomentSketch:
         f, cols = self._coerce_batch(f, lineage, group_cols)
         if f.shape[0] == 0:
             return self
-        keys, (sums, counts) = group_reduce_multi(
+        table = group_reduce_multi(
             cols, [f, np.ones(f.shape[0], dtype=np.float64)]
         )
-        self._absorb(keys, sums, counts, f.shape[0])
+        self._absorb([table], f.shape[0])
         return self
 
-    def merge(self, other: "GroupedMomentSketch") -> "GroupedMomentSketch":
-        """Fold ``other`` into ``self`` (exact); returns ``self``."""
-        if self.lattice != other.lattice:
-            raise EstimationError(
-                f"cannot merge sketches over different lattices: "
-                f"{self.lattice.dims} vs {other.lattice.dims}"
-            )
-        if self.n_group_cols != other.n_group_cols:
-            raise EstimationError(
-                f"cannot merge sketches with {self.n_group_cols} vs "
-                f"{other.n_group_cols} group columns"
-            )
+    def merge(self, *others: "GroupedMomentSketch") -> "GroupedMomentSketch":
+        """Fold ``others`` into ``self`` in order (exact); returns ``self``."""
+        _check_mergeable(self, others, [("n_group_cols", "group columns")])
         self._absorb(
-            other._group_cols + other._keys,
-            other._sums,
-            other._counts,
-            other._n_rows,
+            [o._table() for o in others], sum(o._n_rows for o in others)
         )
         return self
 
@@ -402,10 +405,12 @@ class MomentSketchBundle:
     lineage keys; the per-vector sums are one extra ``bincount`` each.
     A multi-aggregate query (every SUM/COUNT plus the two extra AVG
     vectors) therefore folds all its weight vectors through a single
-    bundle — this is what the partition-parallel SBox path merges, one
-    bundle per chunk, one merge tree per query instead of per
-    aggregate.  Every operation is exact, and the state is the same
-    commutative monoid as the single-vector sketch's.
+    bundle — this is what the partition-parallel SBox path merges:
+    one bundle per chunk, and one :meth:`merge` call per query that
+    concatenates every chunk's table and reduces them with a single
+    sort, however many aggregates or chunks there are.  Every
+    operation is exact, and the state is the same commutative monoid
+    as the single-vector sketch's.
     """
 
     __slots__ = ("lattice", "n_vectors", "_keys", "_sums", "_n_rows")
@@ -439,29 +444,13 @@ class MomentSketchBundle:
             float(np.sum(s)) if s.size else 0.0 for s in self._sums
         ]
 
-    def _absorb(
-        self,
-        keys: Sequence[np.ndarray],
-        sums: Sequence[np.ndarray],
-        n_rows: int,
-    ) -> None:
-        if n_rows == 0 and sums[0].size == 0:
-            return
-        if self._sums[0].size == 0:
-            self._keys = [np.asarray(k, dtype=np.int64) for k in keys]
-            self._sums = [np.asarray(s, dtype=np.float64) for s in sums]
-        else:
-            merged_keys = [
-                np.concatenate([mine, np.asarray(theirs, dtype=np.int64)])
-                for mine, theirs in zip(self._keys, keys)
-            ]
-            merged_sums = [
-                np.concatenate([mine, theirs])
-                for mine, theirs in zip(self._sums, sums)
-            ]
-            self._keys, self._sums = group_reduce_multi(
-                merged_keys, merged_sums
-            )
+    def _table(self) -> _GroupTable:
+        return self._keys, self._sums
+
+    def _absorb(self, tables: Sequence[_GroupTable], n_rows: int) -> None:
+        """Fold already-compacted group tables into the state."""
+        keys, self._sums = _reduce_tables([self._table(), *tables])
+        self._keys = [np.asarray(k, dtype=np.int64) for k in keys]
         self._n_rows += int(n_rows)
 
     def update(
@@ -484,23 +473,20 @@ class MomentSketchBundle:
         cols = [
             np.asarray(lineage[d], dtype=np.int64) for d in self.lattice.dims
         ]
-        keys, sums = group_reduce_multi(cols, fs)
-        self._absorb(keys, sums, n)
+        self._absorb([group_reduce_multi(cols, fs)], n)
         return self
 
-    def merge(self, other: "MomentSketchBundle") -> "MomentSketchBundle":
-        """Fold ``other`` into ``self`` (exact); returns ``self``."""
-        if self.lattice != other.lattice:
-            raise EstimationError(
-                f"cannot merge sketches over different lattices: "
-                f"{self.lattice.dims} vs {other.lattice.dims}"
-            )
-        if self.n_vectors != other.n_vectors:
-            raise EstimationError(
-                f"cannot merge bundles of {self.n_vectors} vs "
-                f"{other.n_vectors} vectors"
-            )
-        self._absorb(other._keys, other._sums, other._n_rows)
+    def merge(self, *others: "MomentSketchBundle") -> "MomentSketchBundle":
+        """Fold ``others`` into ``self`` in order (exact); returns ``self``.
+
+        Every argument is checked before any state changes; the states
+        are then concatenated in argument order and reduced once, which
+        gives the same bits as merging them one at a time.
+        """
+        _check_mergeable(self, others, [("n_vectors", "weight vectors")])
+        self._absorb(
+            [o._table() for o in others], sum(o._n_rows for o in others)
+        )
         return self
 
     def moments(self) -> list[np.ndarray]:
@@ -588,31 +574,12 @@ class GroupedMomentBundle:
     def n_entries(self) -> int:
         return int(self._counts.shape[0])
 
-    def _absorb(
-        self,
-        cols: Sequence[np.ndarray],
-        sums: Sequence[np.ndarray],
-        counts: np.ndarray,
-        n_rows: int,
-    ) -> None:
-        if n_rows == 0 and counts.size == 0:
-            return
-        if self._counts.size == 0:
-            merged = list(cols)
-            reduced_keys, reduced = merged, [
-                np.asarray(s, dtype=np.float64) for s in sums
-            ] + [np.asarray(counts, dtype=np.float64)]
-        else:
-            state = self._group_cols + self._keys
-            merged = [
-                np.concatenate([mine, theirs])
-                for mine, theirs in zip(state, cols)
-            ]
-            weights = [
-                np.concatenate([mine, theirs])
-                for mine, theirs in zip(self._sums, sums)
-            ] + [np.concatenate([self._counts, counts])]
-            reduced_keys, reduced = group_reduce_multi(merged, weights)
+    def _table(self) -> _GroupTable:
+        return self._group_cols + self._keys, [*self._sums, self._counts]
+
+    def _absorb(self, tables: Sequence[_GroupTable], n_rows: int) -> None:
+        """Fold already-compacted (group, lineage) tables in."""
+        reduced_keys, reduced = _reduce_tables([self._table(), *tables])
         self._group_cols = list(reduced_keys[: self.n_group_cols])
         self._keys = [
             np.asarray(k, dtype=np.int64)
@@ -648,31 +615,25 @@ class GroupedMomentBundle:
         cols = [_coerce_group_column(c) for c in group_cols] + [
             np.asarray(lineage[d], dtype=np.int64) for d in self.lattice.dims
         ]
-        keys, reduced = group_reduce_multi(
+        table = group_reduce_multi(
             cols, list(fs) + [np.ones(n, dtype=np.float64)]
         )
-        self._absorb(keys, reduced[:-1], reduced[-1], n)
+        self._absorb([table], n)
         return self
 
-    def merge(self, other: "GroupedMomentBundle") -> "GroupedMomentBundle":
-        """Fold ``other`` into ``self`` (exact); returns ``self``."""
-        if self.lattice != other.lattice:
-            raise EstimationError(
-                f"cannot merge sketches over different lattices: "
-                f"{self.lattice.dims} vs {other.lattice.dims}"
-            )
-        if (
-            self.n_group_cols != other.n_group_cols
-            or self.n_vectors != other.n_vectors
-        ):
-            raise EstimationError(
-                "cannot merge grouped bundles of different shapes"
-            )
+    def merge(self, *others: "GroupedMomentBundle") -> "GroupedMomentBundle":
+        """Fold ``others`` into ``self`` in order (exact); returns ``self``.
+
+        As :meth:`MomentSketchBundle.merge`: every argument is checked
+        first, then one concatenate-and-reduce over all the states.
+        """
+        _check_mergeable(
+            self,
+            others,
+            [("n_group_cols", "group columns"), ("n_vectors", "weight vectors")],
+        )
         self._absorb(
-            other._group_cols + other._keys,
-            other._sums,
-            other._counts,
-            other._n_rows,
+            [o._table() for o in others], sum(o._n_rows for o in others)
         )
         return self
 

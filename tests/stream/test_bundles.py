@@ -151,3 +151,168 @@ class TestGroupedMomentBundle:
             GroupedMomentBundle(lattice, 1, 0)
         with pytest.raises(EstimationError):
             bundle.update([np.ones(2)], {"l": np.arange(2)}, [])
+
+
+# -- n-ary merge: one reduce == the pairwise left fold, bit for bit ------
+
+GROUP_LABELS = np.array(["A", "N", "R", "AF"], dtype=object)
+
+
+@st.composite
+def part_specs(draw):
+    """Rows for 1-6 parts, some empty, with lineage keys repeating
+    across parts (join fanout) and weights spanning twelve orders of
+    magnitude, so any change in the order partial sums add shows up
+    in the bits."""
+    n_parts = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(n_parts):
+        n = int(rng.integers(0, 40)) * int(rng.random() > 0.25)
+        scale = 10.0 ** rng.uniform(-6, 6, n)
+        parts.append(
+            (
+                [rng.normal(size=n) * scale, rng.uniform(0, 3, n)],
+                {
+                    "l": rng.integers(0, 6, n).astype(np.int64),
+                    "o": rng.integers(0, 3, n).astype(np.int64),
+                },
+                [GROUP_LABELS[rng.integers(0, 4, n)]],
+            )
+        )
+    return parts
+
+
+def _build(kind: str, specs) -> list:
+    lattice = SubsetLattice(DIMS)
+    if kind == "plain":
+        return [
+            MomentSketchBundle(lattice, 2).update(fs, lineage)
+            for fs, lineage, _ in specs
+        ]
+    return [
+        GroupedMomentBundle(lattice, 1, 2).update(fs, lineage, groups)
+        for fs, lineage, groups in specs
+    ]
+
+
+def _state(bundle) -> tuple:
+    """Every state array's exact content (object columns by value)."""
+    cols = list(getattr(bundle, "_group_cols", [])) + list(bundle._keys)
+    out = [
+        (c.dtype.str, c.tolist() if c.dtype == object else c.tobytes())
+        for c in cols
+    ]
+    out += [s.tobytes() for s in bundle._sums]
+    if isinstance(bundle, GroupedMomentBundle):
+        out.append(bundle._counts.tobytes())
+    return tuple(out), bundle.n_rows
+
+
+def _left_fold(parts):
+    merged = parts[0]
+    for part in parts[1:]:
+        merged = merged.merge(part)
+    return merged
+
+
+def _merge_all(parts):
+    return parts[0].merge(*parts[1:])
+
+
+@pytest.mark.parametrize("kind", ["plain", "grouped"])
+class TestNaryMerge:
+    @given(part_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_one_reduce_equals_left_fold(self, kind, specs):
+        folded = _left_fold(_build(kind, specs))
+        parts = _build(kind, specs)
+        merged = _merge_all(parts)
+        assert merged is parts[0]
+        assert _state(merged) == _state(folded)
+
+    def test_shared_keys_across_parts(self, kind):
+        # Every part hits the same three lineage keys, each key seeing
+        # 1, 1e16 and -1e16 in a rotated order: (1 + 1e16) - 1e16 is 0
+        # but (-1e16 + 1e16) + 1 is 1, so only adding each key's
+        # partials in part order reproduces the fold.
+        values = np.array([1.0, 1e16, -1e16])
+        lineage = {"l": np.array([0, 1, 2]), "o": np.array([0, 0, 0])}
+        groups = [np.array(["x", "x", "y"], dtype=object)]
+        specs = [
+            ([np.roll(values, -i), np.ones(3)], lineage, groups)
+            for i in range(3)
+        ]
+        merged = _merge_all(_build(kind, specs))
+        assert _state(merged) == _state(_left_fold(_build(kind, specs)))
+        assert merged._sums[0].tolist() == [0.0, 1.0, 0.0]
+        n_entries = (
+            merged.n_groups if kind == "plain" else merged.n_entries
+        )
+        assert n_entries == 3 and merged.n_rows == 9
+
+    def test_empty_parts(self, kind):
+        lineage = {"l": np.arange(4), "o": np.zeros(4, dtype=np.int64)}
+        rows = (
+            [np.arange(4.0), np.ones(4)],
+            lineage,
+            [np.array([True, False, True, False])],
+        )
+        empty = ([np.empty(0), np.empty(0)], {"l": [], "o": []}, [[]])
+        for specs in (
+            [empty, rows, empty],
+            [rows, empty, empty],
+            [empty, empty],
+        ):
+            merged = _merge_all(_build(kind, specs))
+            assert _state(merged) == _state(_left_fold(_build(kind, specs)))
+        if kind == "grouped":
+            # An empty accumulator's int64 placeholder never promotes
+            # the real key dtype.
+            merged = _merge_all(_build(kind, [empty, rows, empty]))
+            assert merged._group_cols[0].dtype == bool
+
+    def test_single_part_and_no_arguments(self, kind):
+        specs = [
+            (
+                [np.array([1.5, 2.5]), np.array([1.0, 1.0])],
+                {"l": np.array([3, 3]), "o": np.array([1, 2])},
+                [np.array(["a", "b"], dtype=object)],
+            )
+        ]
+        (alone,) = _build(kind, specs)
+        before = _state(alone)
+        assert alone.merge() is alone
+        assert _state(alone) == before
+
+    def test_mismatch_in_any_position_raises(self, kind):
+        specs = [
+            (
+                [np.array([1.0]), np.array([2.0])],
+                {"l": np.array([i]), "o": np.array([0])},
+                [np.array(["g"], dtype=object)],
+            )
+            for i in range(4)
+        ]
+        other_lattice = SubsetLattice(["l"])
+        if kind == "plain":
+            misfits = [
+                MomentSketchBundle(other_lattice, 2),
+                MomentSketchBundle(SubsetLattice(DIMS), 3),
+            ]
+        else:
+            misfits = [
+                GroupedMomentBundle(other_lattice, 1, 2),
+                GroupedMomentBundle(SubsetLattice(DIMS), 2, 2),
+                GroupedMomentBundle(SubsetLattice(DIMS), 1, 3),
+            ]
+        for misfit in misfits:
+            for position in range(4):
+                base, *others = _build(kind, specs)
+                before = _state(base)
+                others.insert(position, misfit)
+                with pytest.raises(EstimationError, match="cannot merge"):
+                    base.merge(*others)
+                # Checked before any state changed.
+                assert _state(base) == before
