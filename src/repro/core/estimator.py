@@ -123,7 +123,7 @@ def group_reduce(
     each distinct key combination once (in sorted key order), and the
     total weight that fell on it.  This is the accumulator core shared
     by the batch :func:`y_terms` and the streaming
-    :class:`repro.stream.MomentSketch`: a group-sum table is additive,
+    :class:`repro.stream.MomentSketchBundle`: a group-sum table is additive,
     so two tables (from two batches, shards, or sketches) merge exactly
     by concatenating and reducing again.
     """

@@ -18,7 +18,8 @@ the execution engine beyond consuming its output table.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -29,14 +30,13 @@ from repro.core.estimator import (
     Estimate,
     GroupedEstimates,
     estimate_from_moments,
-    estimate_sum,
-    estimate_sums_grouped_multi,
     group_firsts,
     group_ids,
     grouped_theorem1_variance,
     unbiased_y_terms_grouped,
 )
 from repro.core.gus import GUSParams
+from repro.core.lattice import SubsetLattice
 from repro.core.rewrite import RewriteResult, rewrite_to_top_gus
 from repro.core.subsample import SubsampleSpec, subsampled_estimate
 from repro.errors import EstimationError, PlanError
@@ -50,11 +50,8 @@ from repro.obs.trace import (
 from repro.relational.aggregates import aggregate_input_vector
 from repro.relational.plan import Aggregate, AggSpec, GroupAggregate, PlanNode
 from repro.relational.table import Table
-from repro.stats.delta import (
-    covariance_estimate,
-    ratio_estimate,
-    ratio_estimates_grouped,
-)
+from repro.stats.delta import ratio_estimate, ratio_estimates_grouped
+from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Trace
@@ -221,6 +218,7 @@ class GroupedQueryResult:
 
 def _vector_plan(
     specs: "tuple[AggSpec, ...] | list[AggSpec]",
+    subsampled: bool = False,
 ) -> tuple[list[tuple], list[str], list[tuple[AggSpec, tuple[int, ...]]]]:
     """Weight-vector recipes every aggregate of a query needs.
 
@@ -230,7 +228,9 @@ def _vector_plan(
     numerator and the ``f+1`` polarization vector for the covariance.
     Returns ``(recipes, labels, spec_inputs)`` where a recipe is
     ``("ones",)``, ``("expr", expr)`` or ``("plus1", base_index)`` and
-    ``spec_inputs`` maps each spec to its vector indices.
+    ``spec_inputs`` maps each spec to its vector indices.  With
+    ``subsampled`` SUM and COUNT specs get no vectors (empty indices):
+    their Section 7 estimate reads the raw sample instead.
     """
     recipes: list[tuple] = []
     labels: list[str] = []
@@ -243,7 +243,9 @@ def _vector_plan(
 
     spec_inputs: list[tuple[AggSpec, tuple[int, ...]]] = []
     for spec in specs:
-        if spec.kind == "avg":
+        if subsampled and spec.kind != "avg":
+            spec_inputs.append((spec, ()))
+        elif spec.kind == "avg":
             assert spec.expr is not None
             f_index = add(("expr", spec.expr), "SUM")
             if ones_index is None:
@@ -276,6 +278,27 @@ def _eval_vectors(recipes: list[tuple], table: Table) -> list[np.ndarray]:
     return out
 
 
+def _fold(
+    recipes: list[tuple],
+    lattice: SubsetLattice,
+    table: Table,
+    group_cols: "list[np.ndarray] | None" = None,
+) -> "MomentSketchBundle | GroupedMomentBundle":
+    """Fold one batch of rows into a fresh moment bundle.
+
+    The single accumulation step behind every estimate: chunks of the
+    partition pipeline and whole materialized samples alike.
+    """
+    fs = _eval_vectors(recipes, table)
+    if group_cols is None:
+        return MomentSketchBundle(lattice, len(recipes)).update(
+            fs, table.lineage
+        )
+    return GroupedMomentBundle(lattice, len(group_cols), len(recipes)).update(
+        fs, table.lineage, group_cols
+    )
+
+
 class _ChunkFold:
     """Picklable per-chunk fold: chunk → (moment contribution, sample?).
 
@@ -284,30 +307,37 @@ class _ChunkFold:
     and, when the caller keeps the sample, the chunk — crosses back.
     """
 
-    __slots__ = ("recipes", "lattice", "grouped", "keys", "keep_sample")
+    __slots__ = ("recipes", "lattice", "keys", "keep_sample")
 
-    def __init__(self, recipes, lattice, grouped, keys, keep_sample) -> None:
+    def __init__(self, recipes, lattice, keys, keep_sample) -> None:
         self.recipes = recipes
         self.lattice = lattice
-        self.grouped = grouped
-        self.keys = tuple(keys)
+        self.keys = tuple(keys)  # GROUP BY columns; () when ungrouped
         self.keep_sample = keep_sample
 
     def __call__(self, chunk: Table):
-        from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
-
-        fs = _eval_vectors(self.recipes, chunk)
-        if self.grouped:
-            contrib: object = GroupedMomentBundle(
-                self.lattice, len(self.keys), len(self.recipes)
-            )
-            contrib.update(
-                fs, chunk.lineage, [chunk.column(k) for k in self.keys]
-            )
-        else:
-            contrib = MomentSketchBundle(self.lattice, len(self.recipes))
-            contrib.update(fs, chunk.lineage)
+        group_cols = [chunk.column(k) for k in self.keys] or None
+        contrib = _fold(self.recipes, self.lattice, chunk, group_cols)
         return contrib, (chunk if self.keep_sample else None)
+
+
+def _active_lattice(params: GUSParams) -> SubsetLattice:
+    """The lattice the moments are kept over (inactive dims pruned)."""
+    if params.a <= 0.0:
+        raise EstimationError("cannot estimate from a = 0 (null sampling)")
+    return params.project_out_inactive().lattice
+
+
+@contextmanager
+def _estimate_phase(rows: int, aggregates: int) -> Iterator:
+    """The ``estimate`` span and phase timer around one estimate."""
+    tracer = get_tracer()
+    t0 = perf_counter()
+    with maybe_span(tracer, "estimate") as span:
+        span.attrs["rows"] = rows
+        span.attrs["aggregates"] = aggregates
+        yield tracer
+    observe_phase_seconds("estimate", perf_counter() - t0)
 
 
 def _needed_columns(plan: "Aggregate | GroupAggregate") -> frozenset[str]:
@@ -319,6 +349,13 @@ def _needed_columns(plan: "Aggregate | GroupAggregate") -> frozenset[str]:
     if isinstance(plan, GroupAggregate):
         cols |= frozenset(plan.keys)
     return cols
+
+
+_GROUPED_SUBSAMPLE = (
+    "sub-sampled variance estimation is not supported for GROUP BY "
+    "queries; the grouped moment pass is already one compaction over "
+    "the sample"
+)
 
 
 class SBox:
@@ -369,7 +406,6 @@ class SBox:
         rng: np.random.Generator | None = None,
         workers: int | None = None,
         chunk_size: int | None = None,
-        rng_mode: str = "compat",
         keep_sample: bool = True,
     ) -> "QueryResult | GroupedQueryResult":
         """Execute the sampled plan and estimate every aggregate.
@@ -386,12 +422,15 @@ class SBox:
         bits as folding them one by one, see :meth:`_run_chunked`) —
         the full result sample is only materialized (column-pruned) to
         populate ``result.sample``, and not at all under
-        ``keep_sample=False``.  Results are bit-for-bit identical for
-        any worker count, and for any row partitioning whenever each
-        active lineage key's rows stay within one chunk (tuple-level
-        sampling always; block sampling via boundary alignment); keys
-        replicated across chunks by join fanout merge partial sums, so
-        only there can a different chunking move the last float ulp.
+        ``keep_sample=False``.  The serial engine and catalog-served
+        samples fold through the same bundles, so every path adds each
+        lineage key's rows in the same order.  Results are bit-for-bit
+        identical for any worker count, and — serial engine included —
+        for any row partitioning whenever each active lineage key's
+        rows stay within one chunk (tuple-level sampling always; block
+        sampling via boundary alignment); a key that join fanout
+        replicates across chunks adds its chunk partial sums, so only
+        there can a different chunking move the last float ulp.
 
         With ``REPRO_TRACE=1`` in the environment (and no trace already
         active) the run is traced and the span tree attached to
@@ -410,7 +449,6 @@ class SBox:
                     rng=rng,
                     workers=workers,
                     chunk_size=chunk_size,
-                    rng_mode=rng_mode,
                     keep_sample=keep_sample,
                 )
             return replace(result, trace=tracer.finish_trace())
@@ -420,7 +458,6 @@ class SBox:
             rng=rng,
             workers=workers,
             chunk_size=chunk_size,
-            rng_mode=rng_mode,
             keep_sample=keep_sample,
         )
 
@@ -432,7 +469,6 @@ class SBox:
         rng: np.random.Generator | None,
         workers: int | None,
         chunk_size: int | None,
-        rng_mode: str,
         keep_sample: bool,
     ) -> "QueryResult | GroupedQueryResult":
         from repro.relational.executor import Executor
@@ -452,7 +488,6 @@ class SBox:
                 rng=rng,
                 workers=workers,
                 chunk_size=chunk_size,
-                rng_mode=rng_mode,
             )
             if served is not None:
                 return served
@@ -463,7 +498,6 @@ class SBox:
                 rng=rng,
                 workers=int(workers),
                 chunk_size=chunk_size,
-                rng_mode=rng_mode,
                 keep_sample=keep_sample,
                 subsample=subsample,
             )
@@ -489,7 +523,6 @@ class SBox:
         rng: np.random.Generator | None,
         workers: int | None,
         chunk_size: int | None,
-        rng_mode: str,
     ) -> "QueryResult | GroupedQueryResult | None":
         """Serve from (or populate) the synopsis catalog.
 
@@ -553,19 +586,8 @@ class SBox:
         t2 = perf_counter()
         with maybe_span(tracer, "draw") as sp:
             if workers is not None and workers >= 1:
-                from repro.relational.partition import DEFAULT_CHUNK_ROWS
-                from repro.relational.pipeline import ChunkedExecutor
-
-                sample = ChunkedExecutor(
-                    self.catalog,
-                    rng if rng is not None else self.rng,
-                    workers=int(workers),
-                    chunk_size=(
-                        chunk_size
-                        if chunk_size is not None
-                        else DEFAULT_CHUNK_ROWS
-                    ),
-                    rng_mode=rng_mode,
+                sample = self._chunked_executor(
+                    rng, int(workers), chunk_size
                 ).execute(plan.child)
             else:
                 from repro.relational.executor import Executor
@@ -588,6 +610,24 @@ class SBox:
             return self.estimate_from_sample_grouped(plan, sample, rewrite)
         return self.estimate_from_sample(plan, sample, rewrite)
 
+    def _chunked_executor(
+        self,
+        rng: np.random.Generator | None,
+        workers: int,
+        chunk_size: int | None,
+    ):
+        from repro.relational.partition import DEFAULT_CHUNK_ROWS
+        from repro.relational.pipeline import ChunkedExecutor
+
+        return ChunkedExecutor(
+            self.catalog,
+            rng if rng is not None else self.rng,
+            workers=workers,
+            chunk_size=(
+                chunk_size if chunk_size is not None else DEFAULT_CHUNK_ROWS
+            ),
+        )
+
     def _run_chunked(
         self,
         plan: Aggregate | GroupAggregate,
@@ -596,7 +636,6 @@ class SBox:
         rng: np.random.Generator | None,
         workers: int,
         chunk_size: int | None,
-        rng_mode: str,
         keep_sample: bool,
         subsample: SubsampleSpec | None,
     ) -> "QueryResult | GroupedQueryResult":
@@ -610,25 +649,12 @@ class SBox:
         key's chunk partials still add as ``((a1 + a2) + a3) + …`` in
         chunk order: the bits equal a left fold's.
         """
-        from repro.relational.partition import DEFAULT_CHUNK_ROWS
-        from repro.relational.pipeline import ChunkedExecutor, concat_tables
+        from repro.relational.pipeline import concat_tables
 
         grouped = isinstance(plan, GroupAggregate)
         if subsample is not None and grouped:
-            raise EstimationError(
-                "sub-sampled variance estimation is not supported for "
-                "GROUP BY queries; the grouped moment pass is already "
-                "one compaction over the sample"
-            )
-        executor = ChunkedExecutor(
-            self.catalog,
-            rng if rng is not None else self.rng,
-            workers=workers,
-            chunk_size=(
-                chunk_size if chunk_size is not None else DEFAULT_CHUNK_ROWS
-            ),
-            rng_mode=rng_mode,
-        )
+            raise EstimationError(_GROUPED_SUBSAMPLE)
+        executor = self._chunked_executor(rng, workers, chunk_size)
         tracer = get_tracer()
         needed = _needed_columns(plan)
         if subsample is not None:
@@ -645,17 +671,10 @@ class SBox:
             return self.estimate_from_sample(
                 plan, sample, rewrite, subsample=subsample
             )
-        params = rewrite.params
-        if params.a <= 0.0:
-            raise EstimationError(
-                "cannot estimate from a = 0 (null sampling)"
-            )
-        pruned = params.project_out_inactive()
+        lattice = _active_lattice(rewrite.params)
         recipes, labels, spec_inputs = _vector_plan(plan.specs)
         keys = plan.keys if grouped else ()
-        per_chunk = _ChunkFold(
-            recipes, pruned.lattice, grouped, keys, keep_sample
-        )
+        per_chunk = _ChunkFold(recipes, lattice, keys, keep_sample)
         parts = []
         kept: list[Table] = []
         merge_seconds = 0.0
@@ -681,31 +700,36 @@ class SBox:
         )
         observe_phase_seconds("merge", merge_seconds)
         sample = concat_tables(kept) if keep_sample else None
-        if grouped:
-            return self._finish_grouped(
+        with _estimate_phase(merged.n_rows, len(spec_inputs)):
+            if grouped:
+                return self._finish_grouped(
+                    plan, rewrite, merged, labels, spec_inputs, sample
+                )
+            return self._finish_ungrouped(
                 plan, rewrite, merged, labels, spec_inputs, sample
             )
-        return self._finish_ungrouped(
-            plan, rewrite, merged, labels, spec_inputs, sample
-        )
 
     def _finish_ungrouped(
         self,
         plan: Aggregate,
         rewrite: RewriteResult,
-        bundle,
+        bundle: "MomentSketchBundle | None",
         labels: list[str],
         spec_inputs: list[tuple[AggSpec, tuple[int, ...]]],
         sample: Table | None,
+        *,
+        reuse: "ReuseInfo | None" = None,
+        subsample: SubsampleSpec | None = None,
     ) -> "QueryResult":
-        """Estimates from merged ungrouped moment state."""
+        """Estimates from merged ungrouped moment state.
+
+        A spec with no vector indices was left out of the fold: it is
+        a Section 7 sub-sampled SUM or COUNT, estimated from ``sample``.
+        """
         params = rewrite.params
         pruned = params.project_out_inactive()
-        tracer = get_tracer()
-        t0 = perf_counter()
-        with maybe_span(tracer, "estimate") as span:
-            span.attrs["rows"] = bundle.n_rows
-            span.attrs["aggregates"] = len(spec_inputs)
+        raw: list[Estimate] = []
+        if bundle is not None:
             moments = bundle.moments()
             totals = bundle.totals()
             raw = [
@@ -718,28 +742,34 @@ class SBox:
                 )
                 for j in range(len(labels))
             ]
-            estimates: dict[str, Estimate] = {}
-            values: dict[str, float] = {}
-            for spec, indices in spec_inputs:
-                if spec.kind == "avg":
-                    num, den, both = (raw[j] for j in indices)
-                    # Polarization:
-                    # Cov = (Var(f+1) − Var(f) − Var(1)) / 2.
-                    cov = 0.5 * (
-                        both.variance_raw
-                        - num.variance_raw
-                        - den.variance_raw
-                    )
-                    est = ratio_estimate(num, den, cov)
-                else:
-                    est = raw[indices[0]]
-                estimates[spec.alias] = est
-                values[spec.alias] = (
-                    est.quantile(spec.quantile)
-                    if spec.quantile is not None
-                    else est.value
+        estimates: dict[str, Estimate] = {}
+        values: dict[str, float] = {}
+        for spec, indices in spec_inputs:
+            if not indices:
+                assert sample is not None and subsample is not None
+                est = subsampled_estimate(
+                    params,
+                    aggregate_input_vector(sample, spec),
+                    sample.lineage,
+                    subsample,
+                    label=spec.kind.upper(),
                 )
-        observe_phase_seconds("estimate", perf_counter() - t0)
+            elif spec.kind == "avg":
+                num, den, both = (raw[j] for j in indices)
+                # Polarization:
+                # Cov = (Var(f+1) − Var(f) − Var(1)) / 2.
+                cov = 0.5 * (
+                    both.variance_raw - num.variance_raw - den.variance_raw
+                )
+                est = ratio_estimate(num, den, cov)
+            else:
+                est = raw[indices[0]]
+            estimates[spec.alias] = est
+            values[spec.alias] = (
+                est.quantile(spec.quantile)
+                if spec.quantile is not None
+                else est.value
+            )
         return QueryResult(
             values=values,
             estimates=estimates,
@@ -747,69 +777,69 @@ class SBox:
             sample=sample,
             rewrite=rewrite,
             plan=plan,
+            reuse=reuse,
         )
 
     def _finish_grouped(
         self,
         plan: GroupAggregate,
         rewrite: RewriteResult,
-        bundle,
+        bundle: GroupedMomentBundle,
         labels: list[str],
         spec_inputs: list[tuple[AggSpec, tuple[int, ...]]],
         sample: Table | None,
+        *,
+        reuse: "ReuseInfo | None" = None,
+        keys: dict[str, np.ndarray] | None = None,
     ) -> "GroupedQueryResult":
-        """Per-group estimates from merged grouped moment state."""
+        """Per-group estimates from merged grouped moment state.
+
+        ``keys`` decodes a bundle folded on dense group codes (see
+        :meth:`estimate_from_sample_grouped`); without it the bundle's
+        own key columns are the GROUP BY values.
+        """
         params = rewrite.params
         pruned = params.project_out_inactive()
-        tracer = get_tracer()
-        t0 = perf_counter()
-        with maybe_span(tracer, "estimate") as span:
-            span.attrs["rows"] = bundle.n_rows
-            span.attrs["aggregates"] = len(spec_inputs)
-            group_key_cols, ys, totals, counts = bundle.moments()
-            bundles: list[GroupedEstimates] = []
-            for j, label in enumerate(labels):
-                yhat = unbiased_y_terms_grouped(pruned, ys[j])
-                var_raw = grouped_theorem1_variance(pruned, yhat)
-                bundles.append(
-                    GroupedEstimates(
-                        values=totals[j] / params.a,
-                        variance_raw=var_raw,
-                        n_samples=counts,
-                        label=label,
-                        extras={
-                            "a": params.a,
-                            "active_dims": pruned.lattice.dims,
-                        },
-                    )
+        group_key_cols, ys, totals, counts = bundle.moments()
+        bundles: list[GroupedEstimates] = []
+        for j, label in enumerate(labels):
+            yhat = unbiased_y_terms_grouped(pruned, ys[j])
+            var_raw = grouped_theorem1_variance(pruned, yhat)
+            bundles.append(
+                GroupedEstimates(
+                    values=totals[j] / params.a,
+                    variance_raw=var_raw,
+                    n_samples=counts,
+                    label=label,
+                    extras={
+                        "a": params.a,
+                        "active_dims": pruned.lattice.dims,
+                    },
                 )
-            keys = {
-                k: col for k, col in zip(plan.keys, group_key_cols)
-            }
-            estimates: dict[str, GroupedEstimates] = {}
-            values: dict[str, np.ndarray] = {}
-            for spec, indices in spec_inputs:
-                if spec.kind == "avg":
-                    num, den, both = (bundles[j] for j in indices)
-                    cov = 0.5 * (
-                        both.variance_raw
-                        - num.variance_raw
-                        - den.variance_raw
-                    )
-                    est = ratio_estimates_grouped(num, den, cov)
-                else:
-                    est = bundles[indices[0]]
-                estimates[spec.alias] = est
-                values[spec.alias] = (
-                    est.quantile(spec.quantile)
-                    if spec.quantile is not None
-                    else est.values
+            )
+        if keys is None:
+            keys = dict(zip(plan.keys, group_key_cols))
+        estimates: dict[str, GroupedEstimates] = {}
+        values: dict[str, np.ndarray] = {}
+        for spec, indices in spec_inputs:
+            if spec.kind == "avg":
+                num, den, both = (bundles[j] for j in indices)
+                cov = 0.5 * (
+                    both.variance_raw - num.variance_raw - den.variance_raw
                 )
-            if plan.having is not None:
-                keys, values, estimates = apply_having_grouped(
-                    plan.having, keys, values, estimates
-                )
-        observe_phase_seconds("estimate", perf_counter() - t0)
+                est = ratio_estimates_grouped(num, den, cov)
+            else:
+                est = bundles[indices[0]]
+            estimates[spec.alias] = est
+            values[spec.alias] = (
+                est.quantile(spec.quantile)
+                if spec.quantile is not None
+                else est.values
+            )
+        if plan.having is not None:
+            keys, values, estimates = apply_having_grouped(
+                plan.having, keys, values, estimates
+            )
         return GroupedQueryResult(
             keys=keys,
             values=values,
@@ -818,6 +848,7 @@ class SBox:
             sample=sample,
             rewrite=rewrite,
             plan=plan,
+            reuse=reuse,
         )
 
     def estimate_from_sample(
@@ -833,38 +864,35 @@ class SBox:
 
         This is the entry point a host database would call: it needs
         only the result tuples with lineage and the plan description.
+        The sample folds through one moment bundle — the accumulator
+        the chunked engine merges — so the answer carries the same bits
+        however the sample arrived.  Under ``subsample`` every SUM and
+        COUNT takes the Section 7 sub-sampled variance instead, and
+        only AVG vectors are folded.
         """
         if rewrite is None:
             rewrite = self.analyze(plan.child)
-        params = rewrite.params
-        estimates: dict[str, Estimate] = {}
-        values: dict[str, float] = {}
-        tracer = get_tracer()
-        t0 = perf_counter()
-        with maybe_span(tracer, "estimate") as sp:
-            sp.attrs["rows"] = sample.n_rows
-            sp.attrs["aggregates"] = len(plan.specs)
-            with maybe_span(tracer, "estimate.group_reduce", kind="kernel"):
-                for spec in plan.specs:
-                    est = self._estimate_spec(
-                        spec, params, sample, subsample
-                    )
-                    estimates[spec.alias] = est
-                    values[spec.alias] = (
-                        est.quantile(spec.quantile)
-                        if spec.quantile is not None
-                        else est.value
-                    )
-        observe_phase_seconds("estimate", perf_counter() - t0)
-        return QueryResult(
-            values=values,
-            estimates=estimates,
-            gus=params,
-            sample=sample,
-            rewrite=rewrite,
-            plan=plan,
-            reuse=reuse,
+        lattice = _active_lattice(rewrite.params)
+        recipes, labels, spec_inputs = _vector_plan(
+            plan.specs, subsampled=subsample is not None
         )
+        with _estimate_phase(sample.n_rows, len(plan.specs)) as tracer:
+            bundle = None
+            if recipes:
+                with maybe_span(
+                    tracer, "estimate.group_reduce", kind="kernel"
+                ):
+                    bundle = _fold(recipes, lattice, sample)
+            return self._finish_ungrouped(
+                plan,
+                rewrite,
+                bundle,
+                labels,
+                spec_inputs,
+                sample,
+                reuse=reuse,
+                subsample=subsample,
+            )
 
     def estimate_from_sample_grouped(
         self,
@@ -877,109 +905,34 @@ class SBox:
     ) -> GroupedQueryResult:
         """Per-group estimates from an already-executed sample.
 
-        Group ids are assigned once from the GROUP BY columns of the
-        sample (one lexsort); every aggregate then runs through the
-        vectorized grouped moment machinery.  HAVING filters the
-        estimated output.
+        The GROUP BY columns are coded once into dense group ids (one
+        lexsort, see :func:`~repro.core.estimator.group_ids`) and the
+        sample folds through one grouped moment bundle keyed on that
+        single int64 code column.  The codes number the groups in the
+        order the bundle sorts raw keys in, so the state — and every
+        estimate — carries the bits the chunked engine's raw-key bundles
+        produce; the keys are decoded from each group's first row.
+        HAVING filters the estimated output.
         """
         if subsample is not None:
-            raise EstimationError(
-                "sub-sampled variance estimation is not supported for "
-                "GROUP BY queries; the grouped moment pass is already "
-                "one compaction over the sample"
-            )
+            raise EstimationError(_GROUPED_SUBSAMPLE)
         if rewrite is None:
             rewrite = self.analyze(plan.child)
-        params = rewrite.params
-        tracer = get_tracer()
-        t0 = perf_counter()
-        with maybe_span(tracer, "estimate") as span:
-            span.attrs["rows"] = sample.n_rows
-            span.attrs["aggregates"] = len(plan.specs)
-            key_cols = [sample.column(k) for k in plan.keys]
-            gids, n_groups = group_ids(key_cols, sample.n_rows)
-            first = group_firsts(gids, n_groups, sample.n_rows)
-            keys = {k: col[first] for k, col in zip(plan.keys, key_cols)}
-            # Every aggregate of the query shares one compaction and one
-            # subgroup structure per lattice mask — the weight-vector
-            # plan (shared with the partition-merge path) collects
-            # everything needed and the batched pass estimates it all
-            # at once.
-            recipes, vector_labels, spec_inputs = _vector_plan(plan.specs)
-            vectors = _eval_vectors(recipes, sample)
-            with maybe_span(
-                tracer, "estimate.group_reduce", kind="kernel"
-            ):
-                bundles = estimate_sums_grouped_multi(
-                    params,
-                    vectors,
-                    sample.lineage,
-                    gids,
-                    n_groups,
-                    labels=vector_labels,
-                )
-            estimates: dict[str, GroupedEstimates] = {}
-            values: dict[str, np.ndarray] = {}
-            for spec, indices in spec_inputs:
-                if spec.kind == "avg":
-                    num, den, both = (bundles[i] for i in indices)
-                    # Polarization:
-                    # Cov = (Var(f+1) − Var(f) − Var(1)) / 2.
-                    cov = 0.5 * (
-                        both.variance_raw
-                        - num.variance_raw
-                        - den.variance_raw
-                    )
-                    est = ratio_estimates_grouped(num, den, cov)
-                else:
-                    est = bundles[indices[0]]
-                estimates[spec.alias] = est
-                values[spec.alias] = (
-                    est.quantile(spec.quantile)
-                    if spec.quantile is not None
-                    else est.values
-                )
-            if plan.having is not None:
-                keys, values, estimates = apply_having_grouped(
-                    plan.having, keys, values, estimates
-                )
-        observe_phase_seconds("estimate", perf_counter() - t0)
-        return GroupedQueryResult(
-            keys=keys,
-            values=values,
-            estimates=estimates,
-            gus=params,
-            sample=sample,
-            rewrite=rewrite,
-            plan=plan,
-            reuse=reuse,
-        )
-
-    def _estimate_spec(
-        self,
-        spec: AggSpec,
-        params: GUSParams,
-        sample: Table,
-        subsample: SubsampleSpec | None,
-    ) -> Estimate:
-        if spec.kind == "avg":
-            return self._estimate_avg(spec, params, sample)
-        f = aggregate_input_vector(sample, spec)
-        label = spec.kind.upper()
-        if subsample is not None:
-            return subsampled_estimate(
-                params, f, sample.lineage, subsample, label=label
+        lattice = _active_lattice(rewrite.params)
+        recipes, labels, spec_inputs = _vector_plan(plan.specs)
+        with _estimate_phase(sample.n_rows, len(plan.specs)) as tracer:
+            with maybe_span(tracer, "estimate.group_reduce", kind="kernel"):
+                key_cols = [sample.column(k) for k in plan.keys]
+                gids, n_groups = group_ids(key_cols, sample.n_rows)
+                first = group_firsts(gids, n_groups, sample.n_rows)
+                bundle = _fold(recipes, lattice, sample, [gids])
+            return self._finish_grouped(
+                plan,
+                rewrite,
+                bundle,
+                labels,
+                spec_inputs,
+                sample,
+                reuse=reuse,
+                keys={k: col[first] for k, col in zip(plan.keys, key_cols)},
             )
-        return estimate_sum(params, f, sample.lineage, label=label)
-
-    def _estimate_avg(
-        self, spec: AggSpec, params: GUSParams, sample: Table
-    ) -> Estimate:
-        """AVG = SUM/COUNT via the delta method (Section 9 extension)."""
-        assert spec.expr is not None
-        f = np.asarray(spec.expr.eval(sample), dtype=np.float64)
-        ones = np.ones(sample.n_rows, dtype=np.float64)
-        est_sum = estimate_sum(params, f, sample.lineage, label="SUM")
-        est_count = estimate_sum(params, ones, sample.lineage, label="COUNT")
-        cov = covariance_estimate(params, f, ones, sample.lineage)
-        return ratio_estimate(est_sum, est_count, cov)

@@ -7,13 +7,12 @@ Every statement is checked against independent evidence:
 2. **exact oracle** — the estimator on the sampling-stripped statement
    (every sampler at rate 1) must reproduce the exact executor's
    answer, group set included;
-3. **determinism** — the same statement + seed must agree across the
-   serial engine, the chunked engine, and worker counts (chunked
-   results are bit-identical across worker counts; serial vs chunked
-   may differ in the last ulp when lineage keys collide, so that
-   comparison gets a 1e-12 relative tolerance), across the in-RAM and
-   memory-mapped columnar storage backends (bit-identical: same bytes,
-   different page source), and across a synopsis catalog miss → hit;
+3. **determinism** — the same statement + seed must agree bit for bit
+   across the serial engine, the chunked engine and worker counts
+   (every engine folds its sample through the same moment bundles),
+   across the in-RAM and memory-mapped columnar storage backends (same
+   bytes, different page source), and across a synopsis catalog miss →
+   hit;
 4. **statistical** — unbiasedness and CI coverage over re-randomized
    trials, decided by the sequential tests in
    :mod:`repro.stats.sequential` instead of a fixed trial count.
@@ -31,6 +30,7 @@ import numpy as np
 
 from repro.errors import EstimationError, ReproError
 from repro.fuzz.generator import build_fuzz_tables, install_fuzz_versions
+from repro.relational.aggregates import aggregate_input_vector
 from repro.relational.database import Database
 from repro.relational.table import Table
 from repro.sql import ast_nodes as ast
@@ -46,24 +46,9 @@ __all__ = [
     "reseeded_statement",
 ]
 
-#: Relative tolerance for serial vs chunked point estimates: merged
-#: moment state sums per lineage key first, so join fanout and block
-#: sampling can move the last float ulp (measured ~1e-16 relative).
-SERIAL_CHUNKED_RTOL = 1e-12
-
 #: Tolerance for estimator-at-rate-1 vs the exact executor: the same
 #: sums evaluated through two code paths.
 ORACLE_RTOL = 1e-9
-
-#: Extra absolute slack, scaled by ``max(1, |value|)``, for *quantile*
-#: aliases in the serial-vs-chunked comparison only.  A quantile shifts
-#: the point estimate by ``z·σ̂``; when the true variance is ~0, σ̂ is
-#: pure summation-cancellation noise of order ``√ε·scale·√n`` — and the
-#: serial engine and the merged-sketch path sum moments in different
-#: orders, so their noise differs (measured: variances 1.7e-15 vs
-#: 1.4e-15 around a true 0, quantiles 5e-9 apart).  Worker-count
-#: comparisons share one summation order and stay bit-exact.
-QUANTILE_SIGMA_ATOL = 1e-6
 
 #: SPRT hypotheses for the CI-coverage test.  Coverage is measured on
 #: Chebyshev intervals, whose *nominal* guarantee holds only when the
@@ -80,9 +65,12 @@ COVERAGE_P_FAIL = 0.50
 #: handful of draws that usually miss the heavy tail entirely, and no
 #: interval built from σ̂ (normal or Chebyshev) can honestly cover —
 #: measured coverage of the *correct* estimator at a 1 % rate on the
-#: fuzz fact table is ~0.26.  Applied twice: a priori to each table's
-#: expected draw, and per trial to the sample actually *surviving*
-#: predicates and joins (selectivity the a-priori gate cannot see).
+#: fuzz fact table is ~0.26.  Applied three times: a priori to each
+#: table's expected draw and to the expected draw of the rows that
+#: carry each aggregate's mass (:meth:`CheckContext._expected_mass_rows`
+#: — a few heavy-tailed rows can hold all of it), and per trial to the
+#: sample actually *surviving* predicates and joins (selectivity the
+#: a-priori gates cannot see).
 COVERAGE_MIN_ROWS = 32
 
 #: Block designs are gated on expected *kept blocks* instead: with one
@@ -194,16 +182,14 @@ def _key_item(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _values_close(a: float, b: float, rtol: float, atol: float = 0.0) -> bool:
+def _values_close(a: float, b: float, rtol: float) -> bool:
     a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
     if a == b:
         return True
-    if rtol == 0.0 and atol == 0.0:
-        return False
-    scale = max(abs(a), abs(b))
-    return abs(a - b) <= rtol * scale + atol * max(1.0, scale)
+    diff = abs(a - b)  # inf when either side is infinite: never close
+    return math.isfinite(diff) and diff <= rtol * max(abs(a), abs(b))
 
 
 def fingerprint(result):
@@ -244,29 +230,19 @@ def _table_fingerprint(table: Table, group_keys: tuple[str, ...]):
     return out
 
 
-def diff_fingerprints(
-    a, b, rtol: float, sigma_slack_aliases: frozenset = frozenset()
-) -> str | None:
-    """First difference between two fingerprints, or ``None``.
-
-    Aliases in ``sigma_slack_aliases`` (quantile outputs) additionally
-    tolerate :data:`QUANTILE_SIGMA_ATOL`; see the constant's rationale.
-    """
+def diff_fingerprints(a, b, rtol: float) -> str | None:
+    """First difference between two fingerprints, or ``None``."""
     if set(a) != set(b):
         missing = sorted(set(a) ^ set(b), key=repr)
         return f"key sets differ: {missing[:4]}"
     for key in a:
         va, vb = a[key], b[key]
         if isinstance(va, dict):
-            inner = diff_fingerprints(va, vb, rtol, sigma_slack_aliases)
+            inner = diff_fingerprints(va, vb, rtol)
             if inner is not None:
                 return f"group {key!r}: {inner}"
-        else:
-            atol = (
-                QUANTILE_SIGMA_ATOL if key in sigma_slack_aliases else 0.0
-            )
-            if not _values_close(va, vb, rtol, atol):
-                return f"{key!r}: {va!r} vs {vb!r} (rtol={rtol:g})"
+        elif not _values_close(va, vb, rtol):
+            return f"{key!r}: {va!r} vs {vb!r} (rtol={rtol:g})"
     return None
 
 
@@ -292,9 +268,7 @@ def _outcome(fn, *args, **kwargs):
         return ("error", type(exc).__name__, str(exc))
 
 
-def diff_outcomes(
-    a, b, rtol: float, sigma_slack_aliases: frozenset = frozenset()
-) -> str | None:
+def diff_outcomes(a, b, rtol: float) -> str | None:
     """First difference between two engine outcomes, or ``None``."""
     if a[0] != b[0]:
         return f"one engine answered, the other raised: {a!r} vs {b!r}"
@@ -302,7 +276,7 @@ def diff_outcomes(
         if a[1:] != b[1:]:
             return f"different errors: {a[1:]} vs {b[1:]}"
         return None
-    return diff_fingerprints(a[1], b[1], rtol, sigma_slack_aliases)
+    return diff_fingerprints(a[1], b[1], rtol)
 
 
 # -- the check context --------------------------------------------------------
@@ -454,11 +428,6 @@ class CheckContext:
     def check_determinism(self, statement: str, seed: int) -> list[CheckFailure]:
         """Serial vs chunked vs cross-worker-count vs mmap agreement."""
         query = parse(statement)
-        quantile_aliases = frozenset(
-            item.alias
-            for item in query.items
-            if isinstance(item.expression, ast.QuantileCall)
-        )
         # workers=0 forces the legacy serial path even when the ambient
         # environment (REPRO_WORKERS) routes queries through the
         # chunked executor — the baseline must actually be serial.
@@ -476,14 +445,14 @@ class CheckContext:
                     f"workers=1 vs workers=3 not bit-identical: {detail}",
                 )
             )
-        detail = diff_outcomes(serial, w1, SERIAL_CHUNKED_RTOL, quantile_aliases)
+        detail = diff_outcomes(serial, w1, 0.0)
         if detail is not None:
             failures.append(
                 CheckFailure(
                     "determinism",
                     statement,
                     seed,
-                    f"serial vs chunked disagree: {detail}",
+                    f"serial vs chunked not bit-identical: {detail}",
                 )
             )
         if query.budget is None:
@@ -505,14 +474,12 @@ class CheckContext:
         return failures
 
     def check_reuse(self, statement: str, seed: int) -> list[CheckFailure]:
-        """Catalog miss, then hit, vs a catalog-free run — all equal.
+        """Catalog miss, then hit, vs a catalog-free run — bit-identical.
 
-        Bit-equality is pinned to the serial path (``workers=0``): the
-        catalog populates and serves from the *materialized* sample,
-        while the catalog-free chunked path merges per-chunk folds —
-        the same sample bits summed in a different order.  Chunked
-        execution gets its own catalog comparison below, at the same
-        tolerance the serial-vs-chunked determinism check uses.
+        The catalog estimates from the *materialized* sample, the
+        catalog-free chunked path from merged per-chunk folds; both fold
+        through the same moment bundles, so serial and chunked runs are
+        each compared bit for bit.
         """
         query = parse(statement)
         if query.budget is not None:
@@ -542,25 +509,52 @@ class CheckContext:
                     f"catalog hit differs from miss: {detail}",
                 )
             )
-        quantile_aliases = frozenset(
-            item.alias
-            for item in query.items
-            if isinstance(item.expression, ast.QuantileCall)
-        )
         chunked = _outcome(self.fresh_db().sql, statement, seed=seed, workers=2)
         chunked_miss = _outcome(self.fresh_db(catalog=True).sql, statement, seed=seed, workers=2)
-        detail = diff_outcomes(chunked, chunked_miss, SERIAL_CHUNKED_RTOL, quantile_aliases)
+        detail = diff_outcomes(chunked, chunked_miss, 0.0)
         if detail is not None:
             failures.append(
                 CheckFailure(
                     "reuse",
                     statement,
                     seed,
-                    f"chunked catalog miss vs catalog-free run beyond "
-                    f"fold tolerance: {detail}",
+                    f"chunked catalog miss differs from catalog-free "
+                    f"run: {detail}",
                 )
             )
         return failures
+
+    def _sampled_designs(self, query: ast.SelectQuery):
+        """``(fraction, units, minimum units)`` per sampled table.
+
+        ``fraction`` is the expected share of the table's rows a draw
+        keeps; ``units`` the expected kept rows (tuple designs) or
+        blocks (block designs), gated at ``minimum``.
+        """
+        for ref in query.tables:
+            sample = ref.sample
+            if sample is None:
+                continue
+            n_rows = self.tables[ref.name].n_rows
+            if sample.kind == "percent":
+                fraction = sample.amount / 100.0
+                yield fraction, fraction * n_rows, COVERAGE_MIN_ROWS
+            elif sample.kind == "rows":
+                fraction = (
+                    min(sample.amount / n_rows, 1.0) if n_rows else 1.0
+                )
+                yield fraction, min(sample.amount, n_rows), COVERAGE_MIN_ROWS
+            else:  # block designs: units are kept blocks
+                total = -(-n_rows // sample.rows_per_block)
+                if sample.kind == "system_percent":
+                    fraction = sample.amount / 100.0
+                    units = fraction * total
+                else:
+                    fraction = (
+                        min(sample.amount / total, 1.0) if total else 1.0
+                    )
+                    units = min(sample.amount, total)
+                yield fraction, units, COVERAGE_MIN_BLOCKS
 
     def _design_gates(self, query: ast.SelectQuery) -> tuple[bool, bool]:
         """``(drift eligible, coverage eligible)`` for a sampling design.
@@ -573,37 +567,55 @@ class CheckContext:
         is exact, so its interval trivially covers.
         """
         drift_ok = coverage_ok = True
-        for ref in query.tables:
-            sample = ref.sample
-            if sample is None:
-                continue
-            n_rows = self.tables[ref.name].n_rows
-            if sample.kind == "percent":
-                fraction = sample.amount / 100.0
-                units = fraction * n_rows
-                minimum = COVERAGE_MIN_ROWS
-            elif sample.kind == "rows":
-                fraction = (
-                    min(sample.amount / n_rows, 1.0) if n_rows else 1.0
-                )
-                units = min(sample.amount, n_rows)
-                minimum = COVERAGE_MIN_ROWS
-            else:  # block designs: units are kept blocks
-                total = -(-n_rows // sample.rows_per_block)
-                if sample.kind == "system_percent":
-                    fraction = sample.amount / 100.0
-                    units = fraction * total
-                else:
-                    fraction = (
-                        min(sample.amount / total, 1.0) if total else 1.0
-                    )
-                    units = min(sample.amount, total)
-                minimum = COVERAGE_MIN_BLOCKS
+        for fraction, units, minimum in self._sampled_designs(query):
             drift_ok = drift_ok and fraction >= DRIFT_MIN_FRACTION
             coverage_ok = coverage_ok and (
                 fraction >= 1.0 or units >= minimum
             )
         return drift_ok, coverage_ok
+
+    def _expected_mass_rows(
+        self, statement: str, query: ast.SelectQuery, seed: int
+    ) -> dict[str, float]:
+        """Expected rows a draw keeps that carry each aggregate's mass.
+
+        Counting rows is not enough for the coverage gate: when a few
+        heavy-tailed rows hold most of ``Σ|f|``, a draw of hundreds of
+        rows still sees only a handful of them, and σ̂ is tail-blind
+        (see :data:`COVERAGE_MIN_ROWS`).  The rows carrying the mass of
+        the *unsampled* aggregate input are counted by the participation
+        ratio ``(Σ|f|)² / Σf²`` — ``n`` for ``n`` equal rows, about
+        ``k`` when ``k`` rows dominate — taken over the WHERE-filtered,
+        joined rows of the rate-1 statement (for AVG over the residuals
+        ``f − mean(f)`` its delta-method variance is made of), then
+        scaled by the share of rows a draw keeps.  Aliases whose input
+        cannot be read are left out (no extra gate).
+        """
+        try:
+            result = self.db.sql(oracle_statement(statement), seed=seed)
+        except ReproError:
+            return {}
+        sample = getattr(result, "sample", None)
+        plan = getattr(result, "plan", None)
+        if sample is None or plan is None:
+            return {}
+        fraction = math.prod(
+            min(f, 1.0) for f, _, _ in self._sampled_designs(query)
+        )
+        mass: dict[str, float] = {}
+        for spec in plan.specs:
+            if spec.kind == "avg":
+                f = np.asarray(spec.expr.eval(sample), dtype=np.float64)
+                f = f - f.mean() if f.size else f
+            else:
+                f = aggregate_input_vector(sample, spec)
+            square = float(np.dot(f, f))
+            mass[spec.alias] = (
+                float(np.sum(np.abs(f))) ** 2 / square * fraction
+                if square > 0.0
+                else math.inf  # a constant input: the estimate is exact
+            )
+        return mass
 
     def check_statistical(self, statement: str, seed: int) -> list[CheckFailure]:
         """Sequential unbiasedness + CI-coverage test over trials.
@@ -646,9 +658,15 @@ class CheckContext:
             )
         except ReproError:
             return []  # check_oracle owns reporting execution problems
+        mass = (
+            self._expected_mass_rows(statement, query, seed)
+            if coverage_ok
+            else {}
+        )
         coverage = {
             alias: BernoulliSPRT(COVERAGE_P_PASS, COVERAGE_P_FAIL)
             for alias in truth
+            if mass.get(alias, math.inf) >= COVERAGE_MIN_ROWS
         } if coverage_ok else {}
         drift = {
             alias: SequentialBiasGuard(min_n=DRIFT_MIN_N) for alias in truth
@@ -689,7 +707,7 @@ class CheckContext:
                 # everywhere else, so only those keys inform σ̂ and the
                 # effective sample size is their count, not n_sample.
                 n_effective = est.extras.get("nonzero", est.n_sample)
-                if not coverage_ok or n_effective < COVERAGE_MIN_ROWS:
+                if alias not in coverage or n_effective < COVERAGE_MIN_ROWS:
                     # The a-priori gate sees per-table draw sizes only;
                     # join and predicate selectivity can shrink the
                     # *surviving* sample back into the tail-blind-σ̂

@@ -13,7 +13,6 @@ Binds together the catalog, executor, SBox estimator, and SQL frontend:
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
@@ -57,13 +56,11 @@ class Database:
     value >= 1 routes queries through the partition-parallel chunked
     pipeline with that many workers.  Chunked results are bit-for-bit
     identical for every worker count, and executed tables reproduce the
-    serial engine exactly.  Chunked *estimates* equal the serial
-    estimator's exactly whenever sample rows carry distinct lineage
-    keys (tuple-level sampling — every SQL-reachable plan); when a
-    lineage key is shared by many rows (block sampling, join fanout)
-    the merged moment state sums per key first, so point estimates can
-    differ from the serial path in the last float ulp (variances and
-    moments stay exact).
+    serial engine exactly.  Every engine — serial, chunked, and samples
+    served from the synopsis catalog — estimates by folding the sample
+    through the same moment bundles, so their estimates are
+    bit-identical too — up to the one partitioning caveat
+    :meth:`SBox.run <repro.core.sbox.SBox.run>` names.
     """
 
     def __init__(
@@ -177,24 +174,6 @@ class Database:
         self._invalidate_synopses(name)
         return named
 
-    def replace_table(self, name: str, table: Table) -> Table:
-        """Deprecated in-place mutation; use :meth:`update_table`.
-
-        The versioned API re-expresses mutation as snapshot-then-swap so
-        the outgoing contents stay queryable (``AT VERSION n``) and their
-        synopses stay servable.  This shim keeps the old discard-history
-        behavior for existing callers and warns once per call site.
-        """
-        warnings.warn(
-            "Database.replace_table is deprecated: use "
-            "Database.update_table (snapshot-then-mutate) to keep the "
-            "outgoing version queryable, or create/drop the table "
-            "explicitly to discard it",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._swap_table(name, table)
-
     def snapshot(self, name: str) -> int:
         """Freeze the current contents of ``name`` as a new version.
 
@@ -215,8 +194,7 @@ class Database:
         return version
 
     def update_table(self, name: str, table: Table) -> Table:
-        """Snapshot-then-mutate: the versioned replacement for
-        :meth:`replace_table`.
+        """Snapshot-then-mutate: replace a table's live contents.
 
         The outgoing contents are frozen as a new snapshot version
         first, then ``table`` becomes the live contents.  Live-table
@@ -242,7 +220,7 @@ class Database:
         columnar format and the catalog entry is swapped for the
         memory-mapped reader — subsequent queries against ``name`` read
         file-backed pages instead of process heap.  Like
-        :meth:`replace_table`, the swap invalidates synopses and the
+        :meth:`update_table`, the swap invalidates synopses and the
         cost model (the *contents* are bit-identical, but synopsis
         entries hold references into the old arrays that would pin the
         heap copy alive).

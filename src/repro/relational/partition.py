@@ -13,14 +13,13 @@ streams that have no backing table.
 Alignment matters for exactness, not just speed: block-level sampling
 (``TABLESAMPLE SYSTEM``) assigns one lineage id to a whole block of
 consecutive rows.  The partition-merge estimator folds each chunk into
-a compacted per-lineage-key sum table; if a block straddled a chunk
-boundary its partial sums would be added in a partition-dependent
-order and the merged floats could wobble in the last ulp across
-chunkings.  :func:`required_alignment` therefore walks the plan for
-block sampling nodes and the partitioner rounds chunk boundaries up to
-a multiple of every block size, so each lineage key is always wholly
-inside one chunk and the merge is bit-for-bit independent of the
-partitioning.
+a compacted per-lineage-key sum table; a block straddling a chunk
+boundary would reach the merge as two partial sums, a different float
+association from the serial engine's one pass over the sample.
+:func:`required_alignment` therefore walks the plan for block sampling
+nodes and the partitioner rounds chunk boundaries up to a multiple of
+every block size, so each lineage key is always wholly inside one chunk
+and the merge is bit-for-bit independent of the partitioning.
 """
 
 from __future__ import annotations

@@ -11,10 +11,12 @@ Mapping to the paper's objects:
   :class:`~repro.core.gus.GUSParams` and is **fixed per estimator**;
   the algebra's guarantees are per design.
 * ``Y_S`` — the plug-in lattice moments of Section 6.3 — live in a
-  :class:`~repro.stream.sketch.MomentSketch`.  The sketch stores the
-  per-group sums *beneath* the squares (a commutative, mergeable
-  monoid) and materializes the full ``(Y_S)_{S⊆L}`` vector on demand,
-  so ``update`` is a single vectorized pass and ``merge`` is exact.
+  :class:`~repro.stream.sketch.MomentSketchBundle` (per GROUP BY
+  group: :class:`~repro.stream.sketch.GroupedMomentBundle`).  A bundle
+  stores the per-group sums *beneath* the squares (a commutative,
+  mergeable monoid) and materializes the full ``(Y_S)_{S⊆L}`` vector on
+  demand, so ``update`` is a single vectorized pass and ``merge`` is
+  exact.  The SBox estimates every query through the same bundles.
 * ``Ŷ_S`` and ``σ̂²`` — the unbiased moments of the Section 6.3
   triangular recursion and Theorem 1's variance — are produced by
   :class:`~repro.stream.estimator.StreamingEstimator.estimate`, which
@@ -23,22 +25,22 @@ Mapping to the paper's objects:
   the batch path uses.
 * Scale-out and windows are pure composition of merges:
   :class:`~repro.stream.shard.ShardCoordinator` partitions a stream
-  across N sketches and merges on demand (provably equal to the batch
+  across N bundles and merges on demand (provably equal to the batch
   answer), while :class:`~repro.stream.window.TumblingWindow` and
   :class:`~repro.stream.window.SlidingWindow` answer windowed queries
-  from per-batch sketches instead of re-scanning tuples.
+  from per-batch bundles instead of re-scanning tuples.
 
 See ``examples/streaming_quickstart.py`` for a five-minute tour.
 """
 
 from repro.stream.estimator import GroupedStreamingEstimator, StreamingEstimator
 from repro.stream.shard import ShardCoordinator
-from repro.stream.sketch import GroupedMomentSketch, MomentSketch
+from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
 from repro.stream.window import SlidingWindow, TumblingWindow
 
 __all__ = [
-    "MomentSketch",
-    "GroupedMomentSketch",
+    "MomentSketchBundle",
+    "GroupedMomentBundle",
     "StreamingEstimator",
     "GroupedStreamingEstimator",
     "ShardCoordinator",

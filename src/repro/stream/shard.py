@@ -1,6 +1,6 @@
 """Sharded ingestion: N sketches in parallel, one exact estimate out.
 
-The group-sum table inside a :class:`~repro.stream.sketch.MomentSketch`
+The group-sum table inside a :class:`~repro.stream.sketch.MomentSketchBundle`
 is additive, so a stream can be partitioned across any number of shard
 sketches — different cores, processes, or machines — and the merged
 table is identical to what a single sketch would have built.  The

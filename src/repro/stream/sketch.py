@@ -1,4 +1,4 @@
-"""Mergeable moment sketches: the streaming form of the ``Y_S`` moments.
+"""Mergeable moment bundles: the streaming form of the ``Y_S`` moments.
 
 Theorem 1 needs, per subset ``S`` of the lineage schema, the moment
 ``Y_S = Σ_{groups g on S} (Σ_{t∈g} f(t))²``.  The square is not
@@ -8,26 +8,32 @@ monoid under "concatenate and re-reduce".  Every coarser moment
 ``Y_S`` (``S ⊂ L``) is then a pure function of that one table, because
 a lineage group on ``S`` is a union of full-lineage groups.
 
-:class:`MomentSketch` maintains exactly that table — compacted after
-every update so its size is the number of *distinct lineage keys seen*,
-not the number of rows ingested — plus the sample row count.  It
-supports three operations, all exact:
+:class:`MomentSketchBundle` maintains exactly that table for one or
+more weight vectors sharing the key columns — compacted after every
+update so its size is the number of *distinct lineage keys seen*, not
+the number of rows ingested — plus the sample row count.  It supports
+three operations, all exact:
 
-* ``update(f, lineage)`` — absorb a batch in one vectorized pass;
-* ``merge(*others)``    — combine any number of sketches (shards,
+* ``update(fs, lineage)`` — absorb a batch in one vectorized pass;
+* ``merge(*others)``      — combine any number of bundles (shards,
   windows, machines, chunks) with no approximation;
-* ``moments()``          — emit the full ``(Y_S)_{S⊆L}`` vector.
+* ``moments()``           — emit one ``(Y_S)_{S⊆L}`` vector per weight
+  vector.
 
 Merging k states concatenates them in argument order and reduces once
 (:func:`_reduce_tables`): one sort over all entries rather than the
 k - 1 sorts of a pairwise fold, with the same bits as that fold.
+Because the table is additive, the same accumulator estimates from any
+sample however it arrived: the SBox folds partition chunks, whole
+materialized samples and catalog-served samples through it alike, and
+a single-aggregate stream is simply a bundle with ``n_vectors=1``.
 
 The heavy lifting lives in :func:`repro.core.estimator.group_reduce_multi`
 and :func:`repro.core.estimator.y_terms_from_groups`, the same
 accumulator core the batch ``y_terms`` is built on — one source of
 truth for the moment arithmetic.
 
-:class:`GroupedMomentSketch` extends the same idea to GROUP BY
+:class:`GroupedMomentBundle` extends the same idea to GROUP BY
 workloads by keying the table on (group key, lineage key); every
 group's moment vector is then derivable from one shared state, and the
 merge story is unchanged.
@@ -43,19 +49,13 @@ from repro.core.estimator import (
     group_firsts,
     group_ids,
     group_reduce_multi,
-    grouped_y_terms_from_groups,
     grouped_y_terms_multi,
     y_terms_from_groups,
 )
 from repro.core.lattice import SubsetLattice
 from repro.errors import EstimationError
 
-__all__ = [
-    "GroupedMomentBundle",
-    "GroupedMomentSketch",
-    "MomentSketch",
-    "MomentSketchBundle",
-]
+__all__ = ["GroupedMomentBundle", "MomentSketchBundle"]
 
 #: A compacted group table: ``(key columns, weight vectors)``, one row
 #: per distinct key, every weight vector parallel to the key columns.
@@ -102,315 +102,75 @@ def _check_mergeable(
                 )
 
 
-class MomentSketch:
-    """Incremental, mergeable accumulator of the lattice moments.
+def _coerce_batch(
+    lattice: SubsetLattice,
+    n_vectors: int,
+    fs: Sequence[np.ndarray],
+    lineage: Mapping[str, np.ndarray],
+    group_cols: Sequence[np.ndarray] = (),
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Validate one batch: ``(weight vectors, lineage ids, group cols)``.
 
-    The state is a compact group table: ``_keys[i]`` holds the value of
-    lineage dimension ``lattice.dims[i]`` for each distinct full-lineage
-    key, ``_sums`` the running ``Σ f`` of that key's rows, and
-    ``_n_rows`` the total rows absorbed.  Lineage ids are coerced to
-    int64 so tables from different batches always concatenate cleanly.
+    Every weight vector must be 1-d and every lineage and group column
+    must have the vectors' shape; lineage ids are coerced to int64 so
+    tables from different batches always concatenate cleanly.
     """
-
-    __slots__ = ("lattice", "_keys", "_sums", "_n_rows")
-
-    def __init__(self, lattice: SubsetLattice) -> None:
-        self.lattice = lattice
-        self._keys: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(lattice.n)
-        ]
-        self._sums = np.empty(0, dtype=np.float64)
-        self._n_rows = 0
-
-    # -- inspection -----------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        """Rows absorbed so far (the sample size for the estimator)."""
-        return self._n_rows
-
-    @property
-    def n_groups(self) -> int:
-        """Distinct full-lineage keys seen — the size of the state."""
-        return int(self._sums.shape[0])
-
-    @property
-    def total(self) -> float:
-        """The running sample sum ``Σ f``."""
-        return float(np.sum(self._sums)) if self._sums.size else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"MomentSketch(dims={list(self.lattice.dims)}, "
-            f"n_rows={self._n_rows}, n_groups={self.n_groups}, "
-            f"total={self.total:.6g})"
+    if len(fs) != n_vectors:
+        raise EstimationError(
+            f"expected {n_vectors} weight vectors, got {len(fs)}"
         )
-
-    # -- mutation -------------------------------------------------------
-
-    def _coerce_batch(
-        self, f: np.ndarray, lineage: Mapping[str, np.ndarray]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        f = np.asarray(f, dtype=np.float64)
+    fs = [np.asarray(f, dtype=np.float64) for f in fs]
+    shape = fs[0].shape
+    for f in fs:
         if f.ndim != 1:
             raise EstimationError(f"f must be 1-d, got shape {f.shape}")
-        missing = [d for d in self.lattice.dims if d not in lineage]
-        if missing:
-            raise EstimationError(f"lineage columns missing for {missing}")
-        cols = []
-        for d in self.lattice.dims:
-            col = np.asarray(lineage[d], dtype=np.int64)
-            if col.shape != f.shape:
-                raise EstimationError(
-                    f"lineage column {d!r} has shape {col.shape}; "
-                    f"f has shape {f.shape}"
-                )
-            cols.append(col)
-        return f, cols
-
-    def _table(self) -> _GroupTable:
-        return self._keys, [self._sums]
-
-    def _absorb(self, tables: Sequence[_GroupTable], n_rows: int) -> None:
-        """Fold already-compacted group tables into the state."""
-        keys, (self._sums,) = _reduce_tables([self._table(), *tables])
-        self._keys = [np.asarray(k, dtype=np.int64) for k in keys]
-        self._n_rows += int(n_rows)
-
-    def update(self, f: np.ndarray, lineage: Mapping[str, np.ndarray]) -> "MomentSketch":
-        """Absorb one batch of rows; returns ``self`` for chaining.
-
-        One reduce compacts the batch, a second folds it into the
-        state — ``O((G + B) log (G + B))`` for state size ``G`` and
-        batch size ``B``, independent of the rows already ingested when
-        lineage keys repeat.
-        """
-        f, cols = self._coerce_batch(f, lineage)
-        if f.shape[0] == 0:
-            return self
-        self._absorb([group_reduce_multi(cols, [f])], f.shape[0])
-        return self
-
-    def merge(self, *others: "MomentSketch") -> "MomentSketch":
-        """Fold ``others`` into ``self`` in order (exact); returns ``self``.
-
-        Merge is commutative and associative up to floating-point
-        summation order, so shard sketches can be combined in any
-        topology — pairwise trees, sequential folds, or one big
-        concatenate — with the same group table as a single-pass build.
-        """
-        _check_mergeable(self, others)
-        self._absorb(
-            [o._table() for o in others], sum(o._n_rows for o in others)
-        )
-        return self
-
-    def copy(self) -> "MomentSketch":
-        """An independent snapshot (state arrays are copied)."""
-        dup = MomentSketch(self.lattice)
-        dup._keys = [k.copy() for k in self._keys]
-        dup._sums = self._sums.copy()
-        dup._n_rows = self._n_rows
-        return dup
-
-    # -- emission -------------------------------------------------------
-
-    def moments(self) -> np.ndarray:
-        """The plug-in moment vector ``(Y_S)_{S⊆L}`` right now.
-
-        Cost is ``O(2^n)`` groupings over the *compacted* table — the
-        raw rows are never rescanned.
-        """
-        return y_terms_from_groups(self._sums, self._keys, self.lattice)
-
-
-class GroupedMomentSketch:
-    """A mergeable moment sketch per GROUP BY group, in one table.
-
-    The state generalizes :class:`MomentSketch`'s group-sum table by
-    keying on *(group key, full lineage key)*: ``_group_cols`` hold the
-    int64-coded GROUP BY values (callers with non-integer keys
-    factorize first — the SQL layer's dense group ids are exactly such
-    a coding), ``_keys`` the lineage ids, ``_sums`` the running ``Σ f``
-    and ``_counts`` the row count of each entry.  That table is still a
-    commutative monoid under concatenate-and-re-reduce, so sketches
-    merge exactly across shards and windows even when a group was seen
-    by only one shard — its entries simply survive the re-reduce
-    untouched.
-
-    :meth:`moments` factorizes the distinct group keys seen so far and
-    emits, for all of them simultaneously, the per-group plug-in moment
-    matrix the vectorized grouped estimator consumes.
-    """
-
-    __slots__ = ("lattice", "n_group_cols", "_group_cols", "_keys", "_sums", "_counts", "_n_rows")
-
-    def __init__(self, lattice: SubsetLattice, n_group_cols: int = 1) -> None:
-        if n_group_cols < 1:
+        if f.shape != shape:
             raise EstimationError(
-                f"need at least one group column, got {n_group_cols}"
+                f"weight vectors have shapes {f.shape} and {shape}"
             )
-        self.lattice = lattice
-        self.n_group_cols = int(n_group_cols)
-        self._group_cols: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(n_group_cols)
-        ]
-        self._keys: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(lattice.n)
-        ]
-        self._sums = np.empty(0, dtype=np.float64)
-        self._counts = np.empty(0, dtype=np.float64)
-        self._n_rows = 0
-
-    # -- inspection -----------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        """Rows absorbed so far."""
-        return self._n_rows
-
-    @property
-    def n_entries(self) -> int:
-        """Distinct (group key, lineage key) pairs — the state size."""
-        return int(self._sums.shape[0])
-
-    def __repr__(self) -> str:
-        return (
-            f"GroupedMomentSketch(dims={list(self.lattice.dims)}, "
-            f"n_group_cols={self.n_group_cols}, n_rows={self._n_rows}, "
-            f"n_entries={self.n_entries})"
-        )
-
-    # -- mutation -------------------------------------------------------
-
-    def _coerce_batch(
-        self,
-        f: np.ndarray,
-        lineage: Mapping[str, np.ndarray],
-        group_cols: Sequence[np.ndarray],
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        f = np.asarray(f, dtype=np.float64)
-        if f.ndim != 1:
-            raise EstimationError(f"f must be 1-d, got shape {f.shape}")
-        if len(group_cols) != self.n_group_cols:
+    missing = [d for d in lattice.dims if d not in lineage]
+    if missing:
+        raise EstimationError(f"lineage columns missing for {missing}")
+    lineage_cols = [np.asarray(lineage[d], dtype=np.int64) for d in lattice.dims]
+    groups = [_coerce_group_column(c) for c in group_cols]
+    for name, col in [
+        *((f"group[{i}]", c) for i, c in enumerate(groups)),
+        *zip(lattice.dims, lineage_cols),
+    ]:
+        if col.shape != shape:
             raise EstimationError(
-                f"expected {self.n_group_cols} group columns, "
-                f"got {len(group_cols)}"
+                f"column {name!r} has shape {col.shape}; f has shape {shape}"
             )
-        missing = [d for d in self.lattice.dims if d not in lineage]
-        if missing:
-            raise EstimationError(f"lineage columns missing for {missing}")
-        cols = []
-        for name, raw in [
-            *((f"group[{i}]", c) for i, c in enumerate(group_cols)),
-            *((d, lineage[d]) for d in self.lattice.dims),
-        ]:
-            raw = np.asarray(raw)
-            if not np.issubdtype(raw.dtype, np.integer):
-                raise EstimationError(
-                    f"column {name!r} has dtype {raw.dtype}; the grouped "
-                    "sketch keys on int64 — factorize non-integer group "
-                    "keys (e.g. with group_ids) before streaming them"
-                )
-            col = raw.astype(np.int64)
-            if col.shape != f.shape:
-                raise EstimationError(
-                    f"column {name!r} has shape {col.shape}; "
-                    f"f has shape {f.shape}"
-                )
-            cols.append(col)
-        return f, cols
+    return fs, lineage_cols, groups
 
-    def _table(self) -> _GroupTable:
-        return self._group_cols + self._keys, [self._sums, self._counts]
 
-    def _absorb(self, tables: Sequence[_GroupTable], n_rows: int) -> None:
-        """Fold already-compacted (group, lineage) tables in."""
-        keys, (self._sums, self._counts) = _reduce_tables(
-            [self._table(), *tables]
-        )
-        keys = [np.asarray(k, dtype=np.int64) for k in keys]
-        self._group_cols = keys[: self.n_group_cols]
-        self._keys = keys[self.n_group_cols :]
-        self._n_rows += int(n_rows)
-
-    def update(
-        self,
-        f: np.ndarray,
-        lineage: Mapping[str, np.ndarray],
-        group_cols: Sequence[np.ndarray],
-    ) -> "GroupedMomentSketch":
-        """Absorb one batch; ``group_cols[i][r]`` keys row ``r``."""
-        f, cols = self._coerce_batch(f, lineage, group_cols)
-        if f.shape[0] == 0:
-            return self
-        table = group_reduce_multi(
-            cols, [f, np.ones(f.shape[0], dtype=np.float64)]
-        )
-        self._absorb([table], f.shape[0])
-        return self
-
-    def merge(self, *others: "GroupedMomentSketch") -> "GroupedMomentSketch":
-        """Fold ``others`` into ``self`` in order (exact); returns ``self``."""
-        _check_mergeable(self, others, [("n_group_cols", "group columns")])
-        self._absorb(
-            [o._table() for o in others], sum(o._n_rows for o in others)
-        )
-        return self
-
-    def copy(self) -> "GroupedMomentSketch":
-        """An independent snapshot (state arrays are copied)."""
-        dup = GroupedMomentSketch(self.lattice, self.n_group_cols)
-        dup._group_cols = [c.copy() for c in self._group_cols]
-        dup._keys = [k.copy() for k in self._keys]
-        dup._sums = self._sums.copy()
-        dup._counts = self._counts.copy()
-        dup._n_rows = self._n_rows
-        return dup
-
-    # -- emission -------------------------------------------------------
-
-    def groups(self) -> tuple[list[np.ndarray], np.ndarray, int]:
-        """Factorize the distinct group keys seen so far.
-
-        Returns ``(group_key_columns, owner, n_groups)``: one array per
-        group column holding each distinct key once (sorted), the dense
-        group id of every state entry, and the group count.
-        """
-        n_entries = self.n_entries
-        owner, n_groups = group_ids(self._group_cols, n_entries)
-        first = group_firsts(owner, n_groups, n_entries)
-        return [c[first] for c in self._group_cols], owner, n_groups
-
-    def moments(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-        """Per-group plug-in moments for every group seen so far.
-
-        Returns ``(group_keys, Y, totals, counts)``: the distinct group
-        key columns, the ``(n_groups, lattice.size)`` moment matrix,
-        and each group's running ``Σ f`` and row count.
-        """
-        group_keys, owner, n_groups = self.groups()
-        y = grouped_y_terms_from_groups(
-            self._sums, self._keys, owner, n_groups, self.lattice
-        )
-        totals = np.bincount(owner, weights=self._sums, minlength=n_groups)
-        counts = np.bincount(owner, weights=self._counts, minlength=n_groups)
-        return group_keys, y, totals, counts
+def _coerce_group_column(raw: np.ndarray) -> np.ndarray:
+    """Group-key storage: integers normalize to int64, the rest (strings,
+    floats) keep their dtype — the compaction sort falls back to lexsort
+    for them, exactly like the batch grouped estimator."""
+    arr = np.asarray(raw)
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind in "US":
+        return arr.astype(object)
+    return arr
 
 
 class MomentSketchBundle:
-    """Several :class:`MomentSketch` vectors sharing one key table.
+    """Incremental, mergeable accumulator of the lattice moments.
 
-    The expensive part of absorbing a batch is the sort over the
-    lineage keys; the per-vector sums are one extra ``bincount`` each.
-    A multi-aggregate query (every SUM/COUNT plus the two extra AVG
-    vectors) therefore folds all its weight vectors through a single
-    bundle — this is what the partition-parallel SBox path merges:
-    one bundle per chunk, and one :meth:`merge` call per query that
-    concatenates every chunk's table and reduces them with a single
-    sort, however many aggregates or chunks there are.  Every
-    operation is exact, and the state is the same commutative monoid
-    as the single-vector sketch's.
+    The state is a compact group table shared by ``n_vectors`` weight
+    vectors: ``_keys[i]`` holds the value of lineage dimension
+    ``lattice.dims[i]`` for each distinct full-lineage key, ``_sums[j]``
+    the running ``Σ f_j`` of that key's rows, and ``_n_rows`` the total
+    rows absorbed.  The expensive part of absorbing a batch is the sort
+    over the lineage keys; each vector's sums are one extra
+    ``bincount``.  A multi-aggregate query (every SUM/COUNT plus the two
+    extra AVG vectors) therefore folds all its weight vectors through
+    a single bundle — one per chunk on the partition-parallel SBox
+    path, merged by one :meth:`merge` call per query that concatenates
+    every chunk's table and reduces them with a single sort, however
+    many aggregates or chunks there are.  Every operation is exact.
     """
 
     __slots__ = ("lattice", "n_vectors", "_keys", "_sums", "_n_rows")
@@ -458,22 +218,17 @@ class MomentSketchBundle:
         fs: Sequence[np.ndarray],
         lineage: Mapping[str, np.ndarray],
     ) -> "MomentSketchBundle":
-        """Absorb one batch: ``fs[j]`` is vector ``j``'s row values."""
-        if len(fs) != self.n_vectors:
-            raise EstimationError(
-                f"expected {self.n_vectors} weight vectors, got {len(fs)}"
-            )
-        fs = [np.asarray(f, dtype=np.float64) for f in fs]
+        """Absorb one batch: ``fs[j]`` is vector ``j``'s row values.
+
+        One reduce compacts the batch, a second folds it into the
+        state — ``O((G + B) log (G + B))`` for state size ``G`` and
+        batch size ``B``, independent of the rows already ingested when
+        lineage keys repeat.  Returns ``self`` for chaining.
+        """
+        fs, cols, _ = _coerce_batch(self.lattice, self.n_vectors, fs, lineage)
         n = fs[0].shape[0]
-        if n == 0:
-            return self
-        missing = [d for d in self.lattice.dims if d not in lineage]
-        if missing:
-            raise EstimationError(f"lineage columns missing for {missing}")
-        cols = [
-            np.asarray(lineage[d], dtype=np.int64) for d in self.lattice.dims
-        ]
-        self._absorb([group_reduce_multi(cols, fs)], n)
+        if n:
+            self._absorb([group_reduce_multi(cols, fs)], n)
         return self
 
     def merge(self, *others: "MomentSketchBundle") -> "MomentSketchBundle":
@@ -489,8 +244,20 @@ class MomentSketchBundle:
         )
         return self
 
+    def copy(self) -> "MomentSketchBundle":
+        """An independent snapshot (state arrays are copied)."""
+        dup = MomentSketchBundle(self.lattice, self.n_vectors)
+        dup._keys = [k.copy() for k in self._keys]
+        dup._sums = [s.copy() for s in self._sums]
+        dup._n_rows = self._n_rows
+        return dup
+
     def moments(self) -> list[np.ndarray]:
-        """One plug-in moment vector ``(Y_S)_{S⊆L}`` per weight vector."""
+        """One plug-in moment vector ``(Y_S)_{S⊆L}`` per weight vector.
+
+        Cost is ``O(2^n)`` groupings over the *compacted* table — the
+        raw rows are never rescanned.
+        """
         return [
             y_terms_from_groups(s, self._keys, self.lattice)
             for s in self._sums
@@ -504,29 +271,18 @@ class MomentSketchBundle:
         )
 
 
-def _coerce_group_column(raw: np.ndarray) -> np.ndarray:
-    """Group-key storage: integers normalize to int64, the rest (strings,
-    floats) keep their dtype — the compaction sort falls back to lexsort
-    for them, exactly like the batch grouped estimator."""
-    arr = np.asarray(raw)
-    if np.issubdtype(arr.dtype, np.integer):
-        return arr.astype(np.int64)
-    if arr.dtype.kind in "US":
-        return arr.astype(object)
-    return arr
-
-
 class GroupedMomentBundle:
-    """Per-group moment state for several weight vectors at once.
+    """A mergeable moment state per GROUP BY group, in one table.
 
     The grouped twin of :class:`MomentSketchBundle`, and the grouped
-    partition-merge accumulator of the SBox: state rows are keyed on
-    *(group key columns, full lineage key)* holding every vector's
-    ``Σ f_j`` plus a row count.  Unlike :class:`GroupedMomentSketch`
-    (whose wire format is strictly int64) the group key columns keep
-    their natural dtype, so SQL GROUP BY columns — strings included —
-    stream straight in without a global factorization step, which no
-    single partition could compute anyway.
+    accumulator of the SBox: state rows are keyed on *(group key
+    columns, full lineage key)* holding every vector's ``Σ f_j`` plus a
+    row count.  That table is still a commutative monoid under
+    concatenate-and-re-reduce, so bundles merge exactly across shards,
+    windows and chunks even when a group was seen by only one of them.
+    The group key columns keep their natural dtype, so SQL GROUP BY
+    columns — strings included — stream straight in without a global
+    factorization step, which no single partition could compute anyway.
     """
 
     __slots__ = (
@@ -596,29 +352,20 @@ class GroupedMomentBundle:
         group_cols: Sequence[np.ndarray],
     ) -> "GroupedMomentBundle":
         """Absorb one batch; ``group_cols[i][r]`` keys row ``r``."""
-        if len(fs) != self.n_vectors:
-            raise EstimationError(
-                f"expected {self.n_vectors} weight vectors, got {len(fs)}"
-            )
         if len(group_cols) != self.n_group_cols:
             raise EstimationError(
                 f"expected {self.n_group_cols} group columns, "
                 f"got {len(group_cols)}"
             )
-        fs = [np.asarray(f, dtype=np.float64) for f in fs]
-        n = fs[0].shape[0]
-        if n == 0:
-            return self
-        missing = [d for d in self.lattice.dims if d not in lineage]
-        if missing:
-            raise EstimationError(f"lineage columns missing for {missing}")
-        cols = [_coerce_group_column(c) for c in group_cols] + [
-            np.asarray(lineage[d], dtype=np.int64) for d in self.lattice.dims
-        ]
-        table = group_reduce_multi(
-            cols, list(fs) + [np.ones(n, dtype=np.float64)]
+        fs, cols, groups = _coerce_batch(
+            self.lattice, self.n_vectors, fs, lineage, group_cols
         )
-        self._absorb([table], n)
+        n = fs[0].shape[0]
+        if n:
+            table = group_reduce_multi(
+                groups + cols, fs + [np.ones(n, dtype=np.float64)]
+            )
+            self._absorb([table], n)
         return self
 
     def merge(self, *others: "GroupedMomentBundle") -> "GroupedMomentBundle":
@@ -637,8 +384,25 @@ class GroupedMomentBundle:
         )
         return self
 
+    def copy(self) -> "GroupedMomentBundle":
+        """An independent snapshot (state arrays are copied)."""
+        dup = GroupedMomentBundle(
+            self.lattice, self.n_group_cols, self.n_vectors
+        )
+        dup._group_cols = [c.copy() for c in self._group_cols]
+        dup._keys = [k.copy() for k in self._keys]
+        dup._sums = [s.copy() for s in self._sums]
+        dup._counts = self._counts.copy()
+        dup._n_rows = self._n_rows
+        return dup
+
     def groups(self) -> tuple[list[np.ndarray], np.ndarray, int]:
-        """Factorize the distinct group keys seen so far."""
+        """Factorize the distinct group keys seen so far.
+
+        Returns ``(group_key_columns, owner, n_groups)``: one array per
+        group column holding each distinct key once (sorted), the dense
+        group id of every state entry, and the group count.
+        """
         n_entries = self.n_entries
         owner, n_groups = group_ids(self._group_cols, n_entries)
         first = group_firsts(owner, n_groups, n_entries)

@@ -2,7 +2,7 @@
 
 Both windows treat one ``push(f, lineage)`` call as one *batch* — the
 natural unit of a micro-batched stream processor — and answer windowed
-SUM queries from merged :class:`~repro.stream.sketch.MomentSketch`
+SUM queries from merged :class:`~repro.stream.sketch.MomentSketchBundle`
 state instead of re-scanning raw tuples:
 
 * :class:`TumblingWindow` accumulates one estimator per span of

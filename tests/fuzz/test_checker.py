@@ -72,6 +72,10 @@ class TestFingerprints:
         assert (
             diff_fingerprints({"a": 1.0}, {"a": 1.0 + 1e-15}, 1e-12) is None
         )
+        # A tolerance never makes an infinity close to a finite value.
+        inf = float("inf")
+        assert diff_fingerprints({"a": inf}, {"a": 5.0}, 1e-9)
+        assert diff_fingerprints({"a": inf}, {"a": inf}, 1e-9) is None
 
     def test_diff_outcomes_errors_must_match(self):
         ok = ("ok", {"a": 1.0})

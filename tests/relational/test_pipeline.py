@@ -2,8 +2,7 @@
 
 The contract under test: for any worker count and any row
 partitioning, the chunked engine produces bit-for-bit the same output
-— and, in ``compat`` RNG mode, exactly the output of the legacy serial
-executor, sampling included.
+— exactly the output of the legacy serial executor, sampling included.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from repro.sampling.bernoulli import Bernoulli
 from repro.sampling.block import BlockBernoulli
 from repro.sampling.composed import BiDimensionalBernoulli
 from repro.sampling.without_replacement import WithoutReplacement
+from repro.store import SynopsisCatalog
 
 
 def assert_tables_equal(a: Table, b: Table) -> None:
@@ -130,7 +130,7 @@ PLANS = {
 
 
 class TestChunkedMatchesSerial:
-    """compat mode: chunked output == legacy executor, bit for bit."""
+    """Chunked output == legacy executor, bit for bit."""
 
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -307,38 +307,137 @@ class TestHypothesisInvariance:
         ).execute(plan)
         assert_tables_equal(serial, chunked)
 
-    @given(
-        chunk_sizes=st.lists(
-            st.integers(1, 700), min_size=2, max_size=3, unique=True
-        ),
-        workers=st.sampled_from([1, 2, 4]),
-        seed=st.integers(0, 2**20),
+
+def make_fanout_catalog(
+    n_dim: int = 300, n_fact: int = 9_000, seed: int = 23
+) -> dict[str, Table]:
+    """A star join with random foreign keys: every dimension row fans
+    out to ~30 fact rows scattered over the whole fact table."""
+    rng = np.random.default_rng(seed)
+    dim = Table(
+        "dim",
+        {
+            "dk": np.arange(n_dim, dtype=np.int64),
+            "w": rng.normal(1.0, 0.5, n_dim),
+            "grp": np.array(["x", "y", "z"], dtype=object)[
+                rng.integers(0, 3, n_dim)
+            ],
+        },
     )
-    @settings(max_examples=40, deadline=None)
-    def test_spawn_mode_partition_invariance(
-        self, chunk_sizes, workers, seed
-    ):
-        """spawn RNG mode: same seed → same sample for ANY chunking."""
-        plan = Aggregate(
-            TableSample(Scan("fact"), Bernoulli(0.25)),
-            [AggSpec("sum", col("v"), "t"), AggSpec("count", None, "c")],
+    fact = Table(
+        "fact",
+        {
+            "k": rng.integers(0, n_dim, n_fact),
+            "v": rng.normal(10.0, 30.0, n_fact),
+            "tag": np.array(["a", "b", "c", "d"], dtype=object)[
+                rng.integers(0, 4, n_fact)
+            ],
+        },
+    )
+    return {"dim": dim, "fact": fact}
+
+
+FANOUT = make_fanout_catalog()
+
+FANOUT_SPECS = [
+    AggSpec("sum", col("v") * col("w"), "s"),
+    AggSpec("avg", col("v"), "m"),
+    AggSpec("count", None, "c"),
+    AggSpec("sum", col("v"), "q", quantile=0.9),
+]
+
+
+def fanout_plan(side: str, grouped: bool) -> Aggregate | GroupAggregate:
+    """The fanout join with the build (dim) or probe (fact) side sampled."""
+    dim, fact = Scan("dim"), Scan("fact")
+    if side == "build":
+        dim = TableSample(dim, Bernoulli(0.3))
+    else:
+        fact = TableSample(fact, Bernoulli(0.3))
+    child = Join(dim, fact, ["dk"], ["k"])
+    if grouped:
+        return GroupAggregate(child, ["grp", "tag"], FANOUT_SPECS)
+    return Aggregate(child, FANOUT_SPECS)
+
+
+def result_bits(result) -> dict:
+    """Every value and ``variance_raw`` as ``float.hex``, keyed by alias
+    (grouped results also carry their key columns)."""
+    bits: dict = {}
+    for alias, est in result.estimates.items():
+        values = np.atleast_1d(np.asarray(result.values[alias], dtype=float))
+        variance = np.atleast_1d(np.asarray(est.variance_raw, dtype=float))
+        bits[alias] = (
+            [float(v).hex() for v in values],
+            [float(v).hex() for v in variance],
         )
-        results = [
-            ChunkedExecutor(
-                CATALOG,
-                workers=workers,
-                chunk_size=cs,
-                rng_mode="spawn",
-                seed=seed,
-            ).execute(plan)
-            for cs in chunk_sizes
-        ]
-        for other in results[1:]:
-            assert_tables_equal(results[0], other)
+    for name, column in getattr(result, "keys", {}).items():
+        bits[name] = list(column)
+    return bits
+
+
+def assert_bits_close(got: dict, want: dict, rtol: float = 1e-9) -> None:
+    """:func:`result_bits` outputs equal up to float association (the
+    AVG polarization ``Var(f+1) − Var(f) − Var(1)`` cancels, so its
+    variance's relative error runs well above one ulp)."""
+    assert got.keys() == want.keys()
+    for name, entry in want.items():
+        if name not in FANOUT_SPECS_ALIASES:
+            assert got[name] == entry, name
+            continue
+        for got_hex, want_hex in zip(got[name], entry):
+            np.testing.assert_allclose(
+                [float.fromhex(h) for h in got_hex],
+                [float.fromhex(h) for h in want_hex],
+                rtol=rtol,
+            )
+
+
+FANOUT_SPECS_ALIASES = frozenset(spec.alias for spec in FANOUT_SPECS)
 
 
 class TestEstimationInvariance:
     """SBox partition-merge estimates equal the legacy estimator."""
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("side", ["probe", "build"])
+    def test_join_fanout_bit_identical(self, side, grouped):
+        """Serial, chunked and catalog-served answers carry one set of
+        bits: every path folds its sample through the same bundles."""
+        plan = fanout_plan(side, grouped)
+
+        def run(workers, chunk_size=None, synopses=None):
+            return SBox(FANOUT, synopses=synopses).run(
+                plan,
+                rng=np.random.default_rng(17),
+                workers=workers,
+                chunk_size=chunk_size,
+            )
+
+        serial = result_bits(run(0))
+        for chunk_size in (1000, 4096, None):
+            by_workers = {}
+            for workers in (0, 1, 3):
+                synopses = SynopsisCatalog()
+                miss = run(workers, chunk_size, synopses)
+                hit = run(workers, chunk_size, synopses)
+                assert miss.reuse is None and hit.reuse is not None
+                # The catalog stores the materialized sample and folds
+                # it whole, whatever the chunking that drew it.
+                assert result_bits(miss) == serial
+                assert result_bits(hit) == serial
+                by_workers[workers] = result_bits(run(workers, chunk_size))
+            assert by_workers[0] == serial
+            assert by_workers[1] == by_workers[3]
+            if side == "build" and chunk_size is not None:
+                # A sampled build-side row fans out into probe rows in
+                # several chunks, so its sum reaches the merge as chunk
+                # partials — a different float association from one
+                # pass over the rows.  The default chunk covers the
+                # whole probe side; smaller ones split the keys.
+                assert_bits_close(by_workers[1], serial)
+            else:
+                assert by_workers[1] == serial
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_grouped_bit_identical(self, workers):

@@ -1,8 +1,8 @@
-"""Multi-vector sketch bundles: equivalence with their scalar twins.
+"""Multi-vector moment bundles: equivalence with single-vector bundles.
 
 A :class:`MomentSketchBundle` over k weight vectors must behave, per
-vector, exactly like k independent :class:`MomentSketch` instances fed
-the same rows — and merging bundles must commute with merging the
+vector, exactly like k independent one-vector bundles fed the same
+rows — and merging bundles must commute with merging the
 scalars.  The grouped bundle is likewise pinned against the batch
 grouped estimator path, including non-integer (string) group keys.
 """
@@ -23,7 +23,6 @@ from repro.core.lattice import SubsetLattice
 from repro.errors import EstimationError
 from repro.stream.sketch import (
     GroupedMomentBundle,
-    MomentSketch,
     MomentSketchBundle,
 )
 
@@ -53,17 +52,18 @@ class TestMomentSketchBundle:
         n_dims, f1, f2, lineage, assignment, n_batches = case
         lattice = SubsetLattice(DIMS[:n_dims])
         bundle = MomentSketchBundle(lattice, 2)
-        solo1, solo2 = MomentSketch(lattice), MomentSketch(lattice)
+        solo1 = MomentSketchBundle(lattice, 1)
+        solo2 = MomentSketchBundle(lattice, 1)
         for b in range(n_batches):
             idx = np.flatnonzero(assignment == b)
             part = {d: c[idx] for d, c in lineage.items()}
             bundle.update([f1[idx], f2[idx]], part)
-            solo1.update(f1[idx], part)
-            solo2.update(f2[idx], part)
+            solo1.update([f1[idx]], part)
+            solo2.update([f2[idx]], part)
         m1, m2 = bundle.moments()
-        np.testing.assert_array_equal(m1, solo1.moments())
-        np.testing.assert_array_equal(m2, solo2.moments())
-        assert bundle.totals() == [solo1.total, solo2.total]
+        np.testing.assert_array_equal(m1, solo1.moments()[0])
+        np.testing.assert_array_equal(m2, solo2.moments()[0])
+        assert bundle.totals() == solo1.totals() + solo2.totals()
         assert bundle.n_rows == solo1.n_rows
 
     @given(batches())

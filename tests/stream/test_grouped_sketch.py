@@ -1,8 +1,8 @@
-"""Grouped sketch mergeability: shard merges are exact.
+"""Grouped bundle mergeability: shard merges are exact.
 
 The grouped state table is keyed on (group key, lineage key), so
-partitioning a stream across any number of shard sketches and merging
-must reproduce the unsharded sketch exactly — including groups that
+partitioning a stream across any number of shard bundles and merging
+must reproduce the unsharded bundle exactly — including groups that
 only a single shard ever observed.  Integer-valued ``f`` makes every
 sum exact, so the equality assertions are bit-for-bit.
 """
@@ -19,7 +19,7 @@ from repro.core.estimator import (
 )
 from repro.core.gus import bernoulli_gus, without_replacement_gus
 from repro.errors import EstimationError
-from repro.stream import GroupedMomentSketch, GroupedStreamingEstimator
+from repro.stream import GroupedMomentBundle, GroupedStreamingEstimator
 
 GUS_CASES = {
     "bernoulli": bernoulli_gus("l", 0.3),
@@ -156,14 +156,22 @@ class TestShardMergeExactness:
 class TestGroupedSketchState:
     def test_state_compacts_to_distinct_pairs(self):
         gus = GUS_CASES["bernoulli"]
-        sketch = GroupedMomentSketch(gus.lattice)
+        sketch = GroupedMomentBundle(gus.lattice, 1, 1)
         rng = np.random.default_rng(2)
         lin = rng.integers(0, 5, 1000).astype(np.int64)
         grp = rng.integers(0, 3, 1000).astype(np.int64)
-        sketch.update(np.ones(1000), {"l": lin}, [grp])
+        sketch.update([np.ones(1000)], {"l": lin}, [grp])
         distinct = len({(int(g), int(l)) for g, l in zip(grp, lin)})
         assert sketch.n_entries == distinct
         assert sketch.n_rows == 1000
+        # Float keys keep their dtype, never truncating into one group.
+        floats = GroupedMomentBundle(gus.lattice, 1, 1).update(
+            [np.ones(3)],
+            {"l": np.arange(3, dtype=np.int64)},
+            [np.array([0.01, 0.05, 0.01])],
+        )
+        (keys,), _, n_groups = floats.groups()
+        assert n_groups == 2 and keys.tolist() == [0.01, 0.05]
 
     def test_empty_updates_and_empty_sketch(self):
         gus = GUS_CASES["bernoulli"]
@@ -198,12 +206,12 @@ class TestGroupedSketchState:
     def test_mismatched_merges_rejected(self):
         bern = GUS_CASES["bernoulli"]
         with pytest.raises(EstimationError, match="different lattices"):
-            GroupedMomentSketch(bern.lattice).merge(
-                GroupedMomentSketch(GUS_CASES["join"].lattice)
+            GroupedMomentBundle(bern.lattice, 1, 1).merge(
+                GroupedMomentBundle(GUS_CASES["join"].lattice, 1, 1)
             )
         with pytest.raises(EstimationError, match="group columns"):
-            GroupedMomentSketch(bern.lattice, 1).merge(
-                GroupedMomentSketch(bern.lattice, 2)
+            GroupedMomentBundle(bern.lattice, 1, 1).merge(
+                GroupedMomentBundle(bern.lattice, 2, 1)
             )
         with pytest.raises(EstimationError, match="different GUS"):
             GroupedStreamingEstimator(bern).merge(
@@ -212,27 +220,16 @@ class TestGroupedSketchState:
 
     def test_batch_validation(self):
         gus = GUS_CASES["bernoulli"]
-        sketch = GroupedMomentSketch(gus.lattice)
+        sketch = GroupedMomentBundle(gus.lattice, 1, 1)
         with pytest.raises(EstimationError, match="group columns"):
-            sketch.update(np.ones(2), {"l": np.zeros(2, dtype=np.int64)}, [])
+            sketch.update([np.ones(2)], {"l": np.zeros(2, dtype=np.int64)}, [])
         with pytest.raises(EstimationError, match="missing"):
-            sketch.update(np.ones(2), {}, [np.zeros(2, dtype=np.int64)])
+            sketch.update([np.ones(2)], {}, [np.zeros(2, dtype=np.int64)])
         with pytest.raises(EstimationError, match="shape"):
             sketch.update(
-                np.ones(2),
+                [np.ones(2)],
                 {"l": np.zeros(3, dtype=np.int64)},
                 [np.zeros(2, dtype=np.int64)],
             )
         with pytest.raises(EstimationError, match="at least one group"):
-            GroupedMomentSketch(gus.lattice, 0)
-
-    def test_non_integer_group_keys_rejected_loudly(self):
-        """Float keys must not silently truncate into merged groups."""
-        gus = GUS_CASES["bernoulli"]
-        sketch = GroupedMomentSketch(gus.lattice)
-        with pytest.raises(EstimationError, match="factorize"):
-            sketch.update(
-                np.ones(3),
-                {"l": np.arange(3, dtype=np.int64)},
-                [np.array([0.01, 0.05, 0.09])],
-            )
+            GroupedMomentBundle(gus.lattice, 0, 1)

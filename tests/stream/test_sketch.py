@@ -1,7 +1,8 @@
-"""Merge-equivalence of the moment sketch against the batch y-terms.
+"""Merge-equivalence of the one-vector moment bundle against the batch
+y-terms.
 
 The central property: however a sample is split — into batches fed to
-one sketch, or across several sketches merged afterwards, in any order
+one bundle, or across several bundles merged afterwards, in any order
 — the emitted ``(Y_S)`` vector equals the single-batch ``y_terms`` over
 the concatenated rows.  Hypothesis drives the splits.
 """
@@ -16,9 +17,14 @@ from hypothesis import strategies as st
 from repro.core.estimator import y_terms
 from repro.core.lattice import SubsetLattice
 from repro.errors import EstimationError
-from repro.stream import MomentSketch
+from repro.stream import MomentSketchBundle
 
 DIMS = ("l", "o")
+
+
+def _sketch(lattice: SubsetLattice) -> MomentSketchBundle:
+    """The single-aggregate accumulator: a bundle of one vector."""
+    return MomentSketchBundle(lattice, 1)
 
 
 def _sample(rng, n, n_dims=2, key_span=6):
@@ -57,27 +63,29 @@ class TestMergeEquivalence:
     def test_sequential_updates_equal_single_batch(self, data):
         f, lineage, batches = data
         lattice = SubsetLattice(lineage.keys())
-        sketch = MomentSketch(lattice)
+        sketch = _sketch(lattice)
         for bf, blin in batches:
-            sketch.update(bf, blin)
+            sketch.update([bf], blin)
         np.testing.assert_allclose(
-            sketch.moments(), y_terms(f, lineage, lattice),
+            sketch.moments()[0], y_terms(f, lineage, lattice),
             rtol=1e-9, atol=1e-9,
         )
         assert sketch.n_rows == f.shape[0]
-        assert sketch.total == pytest.approx(float(f.sum()), abs=1e-9)
+        assert sketch.totals()[0] == pytest.approx(
+            float(f.sum()), abs=1e-9
+        )
 
     @given(split_samples())
     @settings(max_examples=80, deadline=None)
     def test_merged_sketches_equal_single_batch(self, data):
         f, lineage, batches = data
         lattice = SubsetLattice(lineage.keys())
-        parts = [MomentSketch(lattice).update(bf, blin) for bf, blin in batches]
+        parts = [_sketch(lattice).update([bf], blin) for bf, blin in batches]
         merged = parts[0]
         for part in parts[1:]:
             merged.merge(part)
         np.testing.assert_allclose(
-            merged.moments(), y_terms(f, lineage, lattice),
+            merged.moments()[0], y_terms(f, lineage, lattice),
             rtol=1e-9, atol=1e-9,
         )
 
@@ -86,7 +94,7 @@ class TestMergeEquivalence:
     def test_merge_order_irrelevant(self, data):
         f, lineage, batches = data
         lattice = SubsetLattice(lineage.keys())
-        parts = [MomentSketch(lattice).update(bf, blin) for bf, blin in batches]
+        parts = [_sketch(lattice).update([bf], blin) for bf, blin in batches]
         forward = parts[0].copy()
         for part in parts[1:]:
             forward.merge(part)
@@ -94,72 +102,77 @@ class TestMergeEquivalence:
         for part in reversed(parts[:-1]):
             backward.merge(part)
         np.testing.assert_allclose(
-            forward.moments(), backward.moments(), rtol=1e-9, atol=1e-9
+            forward.moments()[0],
+            backward.moments()[0],
+            rtol=1e-9,
+            atol=1e-9,
         )
         assert forward.n_rows == backward.n_rows
 
 
 class TestSketchBasics:
     def test_empty_sketch_moments_are_zero(self):
-        sketch = MomentSketch(SubsetLattice(["l", "o"]))
-        np.testing.assert_array_equal(sketch.moments(), np.zeros(4))
+        sketch = _sketch(SubsetLattice(["l", "o"]))
+        np.testing.assert_array_equal(sketch.moments()[0], np.zeros(4))
         assert sketch.n_rows == 0
         assert sketch.n_groups == 0
-        assert sketch.total == 0.0
+        assert sketch.totals()[0] == 0.0
 
     def test_empty_batch_is_noop(self):
-        sketch = MomentSketch(SubsetLattice(["l"]))
-        sketch.update(np.ones(3), {"l": np.arange(3)})
+        sketch = _sketch(SubsetLattice(["l"]))
+        sketch.update([np.ones(3)], {"l": np.arange(3)})
         before = sketch.moments()
-        sketch.update(np.empty(0), {"l": np.empty(0, dtype=np.int64)})
+        sketch.update([np.empty(0)], {"l": np.empty(0, dtype=np.int64)})
         np.testing.assert_array_equal(sketch.moments(), before)
         assert sketch.n_rows == 3
 
     def test_state_compacts_repeated_keys(self):
-        sketch = MomentSketch(SubsetLattice(["l"]))
+        sketch = _sketch(SubsetLattice(["l"]))
         rng = np.random.default_rng(0)
         for _ in range(10):
-            sketch.update(rng.uniform(0, 1, 100), {"l": rng.integers(0, 7, 100)})
+            sketch.update(
+                [rng.uniform(0, 1, 100)], {"l": rng.integers(0, 7, 100)}
+            )
         assert sketch.n_rows == 1000
         assert sketch.n_groups <= 7
 
     def test_missing_lineage_column_raises(self):
-        sketch = MomentSketch(SubsetLattice(["l", "o"]))
+        sketch = _sketch(SubsetLattice(["l", "o"]))
         with pytest.raises(EstimationError, match="missing"):
-            sketch.update(np.ones(2), {"l": np.arange(2)})
+            sketch.update([np.ones(2)], {"l": np.arange(2)})
 
     def test_shape_mismatch_raises(self):
-        sketch = MomentSketch(SubsetLattice(["l"]))
+        sketch = _sketch(SubsetLattice(["l"]))
         with pytest.raises(EstimationError, match="shape"):
-            sketch.update(np.ones(3), {"l": np.arange(2)})
+            sketch.update([np.ones(3)], {"l": np.arange(2)})
         with pytest.raises(EstimationError, match="1-d"):
-            sketch.update(np.ones((2, 2)), {"l": np.arange(2)})
+            sketch.update([np.ones((2, 2))], {"l": np.arange(2)})
 
     def test_lattice_mismatch_rejected(self):
-        a = MomentSketch(SubsetLattice(["l"]))
-        b = MomentSketch(SubsetLattice(["o"]))
+        a = _sketch(SubsetLattice(["l"]))
+        b = _sketch(SubsetLattice(["o"]))
         with pytest.raises(EstimationError, match="different lattices"):
             a.merge(b)
 
     def test_copy_is_independent(self):
-        sketch = MomentSketch(SubsetLattice(["l"]))
-        sketch.update(np.ones(4), {"l": np.arange(4)})
+        sketch = _sketch(SubsetLattice(["l"]))
+        sketch.update([np.ones(4)], {"l": np.arange(4)})
         dup = sketch.copy()
-        dup.update(np.ones(4), {"l": np.arange(4, 8)})
+        dup.update([np.ones(4)], {"l": np.arange(4, 8)})
         assert sketch.n_rows == 4
         assert dup.n_rows == 8
         assert sketch.n_groups == 4
         assert dup.n_groups == 8
 
     def test_merge_returns_self_for_chaining(self):
-        a = MomentSketch(SubsetLattice(["l"]))
-        b = MomentSketch(SubsetLattice(["l"])).update(
-            np.ones(2), {"l": np.arange(2)}
+        a = _sketch(SubsetLattice(["l"]))
+        b = _sketch(SubsetLattice(["l"])).update(
+            [np.ones(2)], {"l": np.arange(2)}
         )
         assert a.merge(b) is a
         assert a.n_rows == 2
 
     def test_repr_mentions_state(self):
-        sketch = MomentSketch(SubsetLattice(["l"]))
-        sketch.update(np.ones(2), {"l": np.arange(2)})
+        sketch = _sketch(SubsetLattice(["l"]))
+        sketch.update([np.ones(2)], {"l": np.arange(2)})
         assert "n_rows=2" in repr(sketch)
